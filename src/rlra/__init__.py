@@ -2,8 +2,8 @@
 
 Fixed-rank drivers (randsvd, randlu, powerlu), a fixed-precision driver with
 blocked adaptive rank search (powerlu_fp), and a single-pass LU for streamed
-matrices.  The pivoted-LU elimination runs on a compiled kernel when the
-extension is available (see rlra.backend.BACKEND).
+matrices.  The pivoted-LU elimination runs on LAPACK getrf, with an exact
+unblocked elimination for sketches with dependent columns (rlra.backend).
 """
 
 from .accessors import DenseAccessor, InstrumentedAccessor, SparseAccessor, as_accessor
@@ -12,6 +12,7 @@ from .core import apply_col_perm, apply_row_perm, fro_norm, gaussian, rel_fro_er
 from .errors import (
     IllConditionedSolve,
     IllPosedPseudoinverse,
+    NonFiniteInput,
     NotConverged,
     RankCollapse,
     RlraError,
@@ -66,6 +67,7 @@ __all__ = [
     "LowRankLU",
     "LowRankSVD",
     "MatrixMarketColumnStream",
+    "NonFiniteInput",
     "NotConverged",
     "PowerParams",
     "PrecisionParams",

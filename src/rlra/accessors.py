@@ -3,7 +3,9 @@
 Range finders and drivers touch A exclusively through A @ X, A.T @ X, the
 shape, and the Frobenius norm.  One product call is one pass over A
 regardless of the width of X; InstrumentedAccessor counts them, which is how
-the pass budgets are asserted.
+the pass budgets are asserted.  The dense and sparse accessors reject a
+product with NaN or infinite entries (NonFiniteInput); the check reads only
+the product, never A.
 """
 
 import numpy as np
@@ -25,10 +27,10 @@ class DenseAccessor:
         return self._a.shape
 
     def matmul(self, x):
-        return self._a @ x
+        return core.require_finite(self._a @ x, "A @ X")
 
     def rmatmul(self, x):
-        return self._a.T @ x
+        return core.require_finite(self._a.T @ x, "A.T @ X")
 
     def fro_norm(self):
         return core.fro_norm(self._a)
@@ -48,10 +50,10 @@ class SparseAccessor:
         return self._a.shape
 
     def matmul(self, x):
-        return np.asarray(self._a @ x)
+        return core.require_finite(np.asarray(self._a @ x), "A @ X")
 
     def rmatmul(self, x):
-        return np.asarray(self._a.T @ x)
+        return core.require_finite(np.asarray(self._a.T @ x), "A.T @ X")
 
     def fro_norm(self):
         return float(np.sqrt((self._a.data**2).sum()))

@@ -1,12 +1,14 @@
 """Dense-matrix plumbing: canonical layout, norms, permutations, seeded Gaussians.
 
 Everything downstream works on 64-bit real matrices.  Column-major is the
-canonical storage layout (files and the compiled kernel require it); in-memory
+canonical storage layout (files and LAPACK getrf require it); in-memory
 helpers accept any strides and NumPy sorts it out.  Permutations are index
 vectors, never dense matrices.
 """
 
 import numpy as np
+
+from .errors import NonFiniteInput
 
 __all__ = [
     "as_fmatrix",
@@ -19,6 +21,7 @@ __all__ = [
     "apply_row_perm",
     "apply_col_perm",
     "apply_inv_row_perm",
+    "require_finite",
 ]
 
 
@@ -28,6 +31,13 @@ def as_fmatrix(a):
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d array, got ndim={a.ndim}")
     return np.asfortranarray(a)
+
+
+def require_finite(x, what):
+    """Return x unchanged; raise NonFiniteInput if it holds NaN or infinity."""
+    if not np.isfinite(x).all():
+        raise NonFiniteInput(f"{what} has NaN or infinite entries")
+    return x
 
 
 def gaussian(seed, m, n):

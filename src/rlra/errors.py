@@ -5,6 +5,14 @@ class RlraError(Exception):
     """Base class for library-specific failures."""
 
 
+class NonFiniteInput(RlraError):
+    """A product of A or a streamed panel of A holds NaN or infinite values.
+
+    Detected on the product results, which are sketch-sized, so the check
+    costs no extra pass over A.
+    """
+
+
 class RankCollapse(RlraError):
     """A sketch lost columns: a factorization inside a range finder produced
     exactly dependent columns, so the requested basis width cannot be met."""

@@ -1,8 +1,9 @@
 """Dense factorization kernels: pivoted LU, economy QR, pseudoinverse solves,
 truncated SVD oracle.
 
-The LU elimination runs on the selected backend (compiled or NumPy); QR and
-SVD are delegated to LAPACK.  All shapes are economy: r = min(m, n).
+The LU elimination runs on LAPACK getrf through rlra.backend, which redoes
+degenerate factorizations with an exact unblocked elimination; QR and SVD
+are delegated to LAPACK.  All shapes are economy: r = min(m, n).
 """
 
 from typing import NamedTuple
@@ -40,13 +41,15 @@ def plu(a):
     The pivot is the max-magnitude entry of the active column.  A column
     whose active part is negligible (relative to the whole column) gets no
     swap and a zero L column below the diagonal, so rank-deficient input is
-    handled without error.
+    handled without error; a dependent column leaves an exactly zero pivot.
+    The input is copied once, into the F-ordered work array.
     """
-    a = core.as_fmatrix(a)
-    m, n = a.shape
-    lu = a.copy(order="F")
+    lu = np.array(a, dtype=np.float64, order="F")
+    if lu.ndim != 2:
+        raise ValueError(f"expected a 2-d array, got ndim={lu.ndim}")
+    m, n = lu.shape
     piv = np.arange(m, dtype=np.int64)
-    backend.plu_inplace(lu, piv)
+    backend.plu_inplace(lu, piv, a)
     r = min(m, n)
     L = np.tril(lu[:, :r], -1)
     L[np.arange(r), np.arange(r)] = 1.0

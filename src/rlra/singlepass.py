@@ -100,7 +100,8 @@ def stream_sketch(stream, k, seed, panel=DEFAULT_PANEL):
     """One sweep: G row block = panel^T Omega, H += panel @ (G block).
 
     Omega is m x k.  Raises on a stream that delivers the wrong number of
-    columns.
+    columns, and NonFiniteInput on a panel with NaN or infinite entries
+    (seen in its k-wide product panel^T Omega, without a scan of the panel).
     """
     m, n = stream.shape
     if not 1 <= k <= min(m, n):
@@ -111,7 +112,9 @@ def stream_sketch(stream, k, seed, panel=DEFAULT_PANEL):
     count = 0
     for j0, block in stream.panels(panel):
         w = block.shape[1]
-        gb = block.T @ om
+        gb = core.require_finite(
+            block.T @ om, f"panel^T Omega for stream columns {j0}..{j0 + w - 1}"
+        )
         g[j0 : j0 + w, :] = gb
         h += block @ gb
         count += w

@@ -144,6 +144,17 @@ def test_factor_missing_file_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", [["factor", "--alg", "powerlu", "--rank", "5"],
+                                 ["adapt", "--tol", "1e-3", "--block", "5"]])
+def test_non_finite_input_exit_1(tmp_path, capsys, cmd):
+    path = str(tmp_path / "nan.rlm")
+    a = core.gaussian(5, 40, 30)
+    a[3, 4] = np.nan
+    fileio.write_rlra(path, a)
+    assert main(cmd + ["--in", path]) == 1
+    assert "NaN or infinite" in capsys.readouterr().err
+
+
 def test_adapt_reports_rank_and_convergence(tmp_path, capsys):
     path = gen_file(tmp_path, "fast", 300, 300, seed=3)
     rc = main(["adapt", "--in", path, "--tol", "1e-4", "--block", "10",

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from rlra import core, fixedrank, matgen, rangefinder
+from rlra import core, fixedprec, fixedrank, matgen, rangefinder, singlepass
 from rlra.accessors import DenseAccessor, InstrumentedAccessor
-from rlra.errors import RankCollapse
+from rlra.errors import NonFiniteInput, RankCollapse
 
 
 def exact_rank_matrix(m, n, r, seed, best=2.0, worst=1.0):
@@ -177,3 +178,20 @@ def test_validation_errors():
         fixedrank.powerlu(a, 4, q_os=2, v=1, seed=0)
     with pytest.raises(ValueError):
         fixedrank.randlu(a, 4, q_os=-1, p=1, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("driver", [
+    pytest.param(lambda a: fixedrank.powerlu(a, 5, v=4), id="powerlu"),
+    pytest.param(lambda a: fixedrank.randlu(a, 5), id="randlu"),
+    pytest.param(lambda a: fixedrank.randsvd(sp.csc_matrix(a), 5), id="randsvd-sparse"),
+    pytest.param(lambda a: fixedprec.powerlu_fp(
+        a, fixedprec.PrecisionParams(eps=1e-3, b=5, l=15, v=4), 0), id="powerlu_fp"),
+    pytest.param(lambda a: singlepass.single_pass_lu(
+        singlepass.DenseColumnStream(a), 5, 0, panel=8), id="single_pass_lu"),
+])
+def test_non_finite_input_raises(driver, bad):
+    a = core.gaussian(19, 40, 30)
+    a[17, 11] = bad
+    with pytest.raises(NonFiniteInput, match="NaN or infinite"):
+        driver(a)

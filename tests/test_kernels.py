@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rlra import core, kernels
+from rlra import backend, core, kernels
 from rlra.errors import IllPosedPseudoinverse
 
 
@@ -39,6 +39,56 @@ def test_plu_duplicate_columns_zero_pivot():
     # the duplicated direction surfaces as an exactly zero pivot
     assert f.U[1, 1] == 0.0
     assert np.allclose(a[f.p, :], f.L @ f.U, atol=1e-14 * core.fro_norm(a))
+
+
+_rng = np.random.default_rng(3)
+_col = _rng.standard_normal((12, 1))
+# (matrix, indices of exactly zero pivots, leading pivot row)
+DEGENERATE = [
+    pytest.param(np.hstack([_col, _col, _rng.standard_normal((12, 3))]), [1], 9,
+                 id="duplicate-columns"),
+    pytest.param(np.zeros((8, 5)), [0, 1, 2, 3, 4], 0, id="all-zero"),
+    pytest.param(np.vstack([_rng.standard_normal((3, 6)), np.zeros((7, 6))]), [3, 4, 5], 2,
+                 id="zero-rows"),
+    pytest.param(np.hstack([np.zeros((9, 2)), _rng.standard_normal((9, 4))]), [0, 1], 0,
+                 id="zero-leading-columns"),
+    # equal-magnitude candidates 2 and -2: the first maximum (row 1) wins
+    pytest.param(np.array([[1.0, 5.0], [2.0, 6.0], [-2.0, 7.0]]), [], 1, id="tie-break"),
+]
+
+
+@pytest.mark.parametrize("a,zero_pivots,p0", DEGENERATE)
+def test_plu_degenerate(a, zero_pivots, p0):
+    f = kernels.plu(a)
+    assert np.abs(a[f.p, :] - f.L @ f.U).max() <= 1e-14 * core.fro_norm(a)
+    assert np.abs(f.L).max() <= 1.0
+    assert np.flatnonzero(np.diag(f.U) == 0.0).tolist() == zero_pivots
+    assert f.p[0] == p0
+
+
+def test_plu_fallback_is_the_exact_elimination(monkeypatch):
+    calls = []
+    exact = backend._plu_exact
+    monkeypatch.setattr(backend, "_plu_exact", lambda lu, piv: calls.append(1) or exact(lu, piv))
+    a = DEGENERATE[0].values[0]
+    f = kernels.plu(a)
+    assert calls == [1]
+    lu = np.array(a, order="F")
+    piv = np.arange(a.shape[0], dtype=np.int64)
+    exact(lu, piv)
+    assert np.array_equal(f.p, piv)
+    assert np.array_equal(f.L, np.tril(lu, -1) + np.eye(*a.shape))
+    assert np.array_equal(f.U, np.triu(lu[: a.shape[1], :]))
+
+
+def test_plu_well_posed_input_stays_on_getrf(monkeypatch):
+    def refuse(lu, piv):
+        raise AssertionError("exact elimination ran on a well-posed input")
+
+    monkeypatch.setattr(backend, "_plu_exact", refuse)
+    a = core.gaussian(12, 40, 9)
+    f = kernels.plu(a)
+    assert np.abs(a[f.p, :] - f.L @ f.U).max() <= 1e-14 * core.fro_norm(a)
 
 
 def test_eqr_orthonormal():
