@@ -37,13 +37,7 @@ from .fixedrank import (
 )
 from .kernels import eqr, plu, spec_norm, tsvd
 from .matgen import gen_decay, gen_sparse, oracle_error
-from .rangefinder import (
-    PowerParams,
-    general_power_basis_v,
-    power_basis_lu_l,
-    power_basis_q,
-    power_basis_v,
-)
+from .rangefinder import general_power_basis_v, power_basis_lu_l, power_basis_q
 from .singlepass import (
     DenseColumnStream,
     MatrixMarketColumnStream,
@@ -69,7 +63,6 @@ __all__ = [
     "MatrixMarketColumnStream",
     "NonFiniteInput",
     "NotConverged",
-    "PowerParams",
     "PrecisionParams",
     "RankCollapse",
     "RlraError",
@@ -90,7 +83,6 @@ __all__ = [
     "plu",
     "power_basis_lu_l",
     "power_basis_q",
-    "power_basis_v",
     "powerlu",
     "powerlu_fp",
     "randlu",

@@ -15,11 +15,14 @@ from pathlib import Path
 import numpy as np
 
 from . import core, fileio, fixedprec, fixedrank, matgen, singlepass
-from .accessors import InstrumentedAccessor, SparseAccessor
+from .accessors import InstrumentedAccessor
 from .errors import NotConverged, RankCollapse, RlraError, Unsatisfiable
 
 # matrices at most this many entries are densified to report rel_err
 DENSE_ERROR_LIMIT = 4_000_000
+
+# oversampling columns of the accuracy and rank-sweep suites
+BENCH_OVERSAMPLE = 10
 
 CSV_HEADER = ["alg", "matrix", "m", "n", "k", "eps", "v", "p", "seed",
               "rel_err", "rank", "passes", "wall_ms"]
@@ -123,7 +126,7 @@ def cmd_gen(args):
 
 def _load_accessor(path):
     if path.endswith((".mtx", ".mm")):
-        return SparseAccessor(fileio.read_mm(path))
+        return InstrumentedAccessor(fileio.read_mm(path))
     return InstrumentedAccessor(fileio.read_rlra(path))
 
 
@@ -162,9 +165,15 @@ def _write_svd(prefix, f):
     fileio.write_rlra(f"{prefix}.V.rlm", f.V)
 
 
-def _report_error(dense, approx):
+def _report_error(dense, fac):
+    """Relative error of fac against dense; nan (and no reconstruction)
+    when the matrix was too large to densify."""
     if dense is None:
         return float("nan")
+    if isinstance(fac, fixedrank.LowRankSVD):
+        approx = (fac.U * fac.S) @ fac.V.T
+    else:
+        approx = fixedrank.reconstruct(fac)
     return core.rel_fro_error(dense, approx)
 
 
@@ -181,7 +190,7 @@ def cmd_factor(args):
         fac = singlepass.single_pass_lu(stream, args.rank, args.seed, panel=args.panel)
         wall = 1e3 * (time.perf_counter() - started)
         dense = fileio.read_rlra(args.infile) if m * n <= DENSE_ERROR_LIMIT and not args.infile.endswith((".mtx", ".mm")) else None
-        rel = _report_error(dense, fixedrank.reconstruct(fac))
+        rel = _report_error(dense, fac)
         if args.prefix:
             _write_lu(args.prefix, fac)
         print(
@@ -192,8 +201,6 @@ def cmd_factor(args):
         return 0
 
     acc = _load_accessor(args.infile)
-    if not isinstance(acc, InstrumentedAccessor):
-        acc = InstrumentedAccessor(acc)
     m, n = acc.shape
     if args.alg == "powerlu":
         fac = fixedrank.powerlu(acc, args.rank, args.oversample, v, args.seed)
@@ -206,15 +213,10 @@ def cmd_factor(args):
     wall = 1e3 * (time.perf_counter() - started)
 
     dense = acc.to_dense() if m * n <= DENSE_ERROR_LIMIT else None
-    if isinstance(fac, fixedrank.LowRankSVD):
-        approx = (fac.U * fac.S) @ fac.V.T if dense is not None else None
-        rel = _report_error(dense, approx)
-        if args.prefix:
-            _write_svd(args.prefix, fac)
-    else:
-        rel = _report_error(dense, fixedrank.reconstruct(fac)) if dense is not None else float("nan")
-        if args.prefix:
-            _write_lu(args.prefix, fac)
+    rel = _report_error(dense, fac)
+    if args.prefix:
+        write = _write_svd if isinstance(fac, fixedrank.LowRankSVD) else _write_lu
+        write(args.prefix, fac)
     budget = f"v={v}" if p is None else f"v={v} p={p}"
     print(
         f"alg={args.alg} matrix={args.infile} m={m} n={n} k={args.rank} {budget} "
@@ -249,8 +251,6 @@ def _adapt_loop(acc, params, seed, allow_restart):
 
 def cmd_adapt(args):
     acc = _load_accessor(args.infile)
-    if not isinstance(acc, InstrumentedAccessor):
-        acc = InstrumentedAccessor(acc)
     m, n = acc.shape
     width = args.l if args.l is not None else fixedprec.default_width(args.block, m, n)
     params = fixedprec.PrecisionParams(eps=args.tol, b=args.block, l=width, v=args.passes)
@@ -258,7 +258,7 @@ def cmd_adapt(args):
     fac, outcome = _adapt_loop(acc, params, args.seed, not args.no_restart)
     wall = 1e3 * (time.perf_counter() - started)
     dense = acc.to_dense() if m * n <= DENSE_ERROR_LIMIT else None
-    rel = _report_error(dense, fixedrank.reconstruct(fac))
+    rel = _report_error(dense, fac)
     if args.prefix:
         _write_lu(args.prefix, fac)
     print(
@@ -283,24 +283,18 @@ def _timed_error(fn, dense):
     started = time.perf_counter()
     fac = fn()
     wall = 1e3 * (time.perf_counter() - started)
-    if isinstance(fac, fixedrank.LowRankSVD):
-        approx = (fac.U * fac.S) @ fac.V.T
-    else:
-        approx = fixedrank.reconstruct(fac)
-    return core.rel_fro_error(dense, approx), wall
+    return _report_error(dense, fac), wall
 
 
 def cmd_bench(args):
-    suite = args.suite
-    rows = []
-    if suite == "accuracy":
+    if args.suite == "accuracy":
         n = args.n or 500
-        seeds = args.seeds or 20
-        rows = _suite_accuracy(args.type, n, seeds, args.seed)
-    elif suite == "rank-sweep":
+        ranks = [l - BENCH_OVERSAMPLE for l in range(20, min(201, n + 1), 20)]
+        rows = _suite_sweep(args.type, n, args.seeds or 20, args.seed, ranks, oracle=True)
+    elif args.suite == "rank-sweep":
         n = args.n or 1000
-        seeds = args.seeds or 3
-        rows = _suite_rank_sweep(args.type, n, seeds, args.seed)
+        ranks = range(100, min(n - BENCH_OVERSAMPLE, 1000) + 1, 100)
+        rows = _suite_sweep(args.type, n, args.seeds or 3, args.seed, ranks, oracle=False)
     else:
         rows = _suite_passes(args.seed)
     with open(args.out, "w", newline="") as fh:
@@ -311,42 +305,19 @@ def cmd_bench(args):
     return 0
 
 
-def _suite_accuracy(kind, n, seeds, matrix_seed):
-    """Relative error against sketch width for the three drivers plus the
-    optimum, one row per (algorithm, width, seed)."""
+def _suite_sweep(kind, n, seeds, matrix_seed, ranks, oracle):
+    """Relative error of the three drivers at each target rank, one row per
+    (algorithm, rank, seed); with oracle, a leading tsvd row per rank gives
+    the optimum."""
     a, sigma = matgen.gen_decay(kind, n, n, matrix_seed)
     label = f"{kind}-{n}"
-    q_os = 10
+    q_os = BENCH_OVERSAMPLE
     rows = []
-    for l in range(20, min(201, n + 1), 20):
-        k = l - q_os
-        opt = matgen.oracle_error(sigma, k)[0] / core.fro_norm(sigma)
-        rows.append(_bench_row("tsvd", label, n, n, k=k, seed=0,
-                               rel_err=f"{opt:.6e}", rank=k))
-        for seed in range(seeds):
-            for alg, fn, v, p in (
-                ("powerlu", lambda: fixedrank.powerlu(a, k, q_os, 4, seed), 4, ""),
-                ("randlu", lambda: fixedrank.randlu(a, k, q_os, 1, seed), 4, 1),
-                ("randsvd", lambda: fixedrank.randsvd(a, k, q_os, 1, seed), 4, 1),
-            ):
-                try:
-                    rel, wall = _timed_error(fn, a)
-                    rows.append(_bench_row(alg, label, n, n, k=k, v=v, p=p, seed=seed,
-                                           rel_err=f"{rel:.6e}", rank=k,
-                                           passes=v, wall_ms=f"{wall:.1f}"))
-                except RlraError as exc:
-                    rows.append(_bench_row(alg, label, n, n, k=k, v=v, p=p, seed=seed,
-                                           rel_err="nan", rank=k, passes=v,
-                                           wall_ms=f"failed: {type(exc).__name__}"))
-    return rows
-
-
-def _suite_rank_sweep(kind, n, seeds, matrix_seed):
-    a, sigma = matgen.gen_decay(kind, n, n, matrix_seed)
-    label = f"{kind}-{n}"
-    q_os = 10
-    rows = []
-    for k in range(100, min(n - q_os, 1000) + 1, 100):
+    for k in ranks:
+        if oracle:
+            opt = matgen.oracle_error(sigma, k)[0] / core.fro_norm(sigma)
+            rows.append(_bench_row("tsvd", label, n, n, k=k, seed=0,
+                                   rel_err=f"{opt:.6e}", rank=k))
         for seed in range(seeds):
             for alg, fn, v, p in (
                 ("powerlu", lambda: fixedrank.powerlu(a, k, q_os, 4, seed), 4, ""),

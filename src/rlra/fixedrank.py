@@ -99,12 +99,9 @@ def randlu_noreorth(a, k, q_os=10, p=1, seed=0):
     """
     a = as_accessor(a)
     _validate_rank(a, k, q_os)
-    l = k + q_os
-    t = core.gaussian(seed, a.shape[1], l)
-    for _ in range(p):
-        t = a.rmatmul(a.matmul(t))
-    sk = rangefinder._final_sketch_lu(a.matmul(t))
-    return _assemble_from_sketch_lu(a, sk, k)
+    om = core.gaussian(seed, a.shape[1], k + q_os)
+    raw = rangefinder._power_chain(a, om, 2 * p + 1, lambda x: x)
+    return _assemble_from_sketch_lu(a, rangefinder._final_sketch_lu(raw), k)
 
 
 def _assemble_from_sketch_lu(a, sk, k):
@@ -113,8 +110,7 @@ def _assemble_from_sketch_lu(a, sk, k):
     # B = L_y^+ P A = R^{-1} (P^T Q)^T A, read through one transpose product
     c = a.rmatmul(core.apply_inv_row_perm(sk.p, qy))
     b = solve_triangular(ry, c.T, lower=False)
-    lb, ub, qperm = kernels.plu(b.T)  # column pivoting via the transpose
-    return LowRankLU(p=sk.p, q=qperm, L=ly @ ub.T, U=lb.T, rank=k)
+    return column_pivot_assembly(ly, sk.p, b.T)
 
 
 def powerlu(a, k, q_os=10, v=3, seed=0):
@@ -136,14 +132,23 @@ def powerlu(a, k, q_os=10, v=3, seed=0):
 def lu_from_projection(g, vk):
     """Exact pivoted-LU factorization of G V^T given G = A V.
 
-    lu(G) -> (L1, U1, p); lu((U1 V^T)^T) -> (L2, U2, q);
-    L = L1 U2^T, U = L2^T.  The only approximation in the caller is A ~ A V V^T;
-    these steps are exact.
+    lu(G) -> (L1, U1, p), then the column-pivot assembly of T = (U1 V^T)^T.
+    The only approximation in the caller is A ~ A V V^T; these steps are
+    exact.
     """
-    k = g.shape[1]
     l1, u1, perm = kernels.plu(g)
-    l2, u2, qperm = kernels.plu((u1 @ vk.T).T)
-    return LowRankLU(p=perm, q=qperm, L=l1 @ u2.T, U=l2.T, rank=k)
+    return column_pivot_assembly(l1, perm, (u1 @ vk.T).T)
+
+
+def column_pivot_assembly(l1, p, t):
+    """Column-pivoted step shared by every LU driver.
+
+    Given the row side L1 (m x r, rows permuted by p) and T (n x r), where
+    the factorization sought is A[p, :] ~ L1 T^T: lu(T) -> (L2, U2, q),
+    L = L1 U2^T, U = L2^T.  The rank is the width r of L1.
+    """
+    l2, u2, q = kernels.plu(t)  # column pivoting via the transpose
+    return LowRankLU(p=p, q=q, L=l1 @ u2.T, U=l2.T, rank=l1.shape[1])
 
 
 def reconstruct(f):

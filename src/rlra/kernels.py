@@ -86,7 +86,8 @@ def pinv_apply(l, m):
     """L^+ @ M for tall full-rank L, via QR and back substitution.
 
     Solves R X = Q^T M instead of forming (L^T L)^{-1}; the normal-equations
-    formula is the definition, not the algorithm.
+    formula is the definition, not the algorithm.  No driver calls it; it
+    stays because perfbench's tracer wraps it by name.
     """
     q, r = pinv_factor(l)
     return solve_triangular(r, q.T @ np.asarray(m, dtype=np.float64), lower=False)
@@ -97,12 +98,6 @@ def pinv_transpose_apply(l, m):
     q, r = pinv_factor(l)
     x = solve_triangular(r, np.asarray(m, dtype=np.float64), trans="T", lower=False)
     return q @ x
-
-
-def projector_apply(q, m):
-    """Orthogonal projection Q (Q^T M) onto the column span of orthonormal Q."""
-    q = np.asarray(q, dtype=np.float64)
-    return q @ (q.T @ np.asarray(m, dtype=np.float64))
 
 
 def tsvd(a, k):

@@ -1,13 +1,21 @@
 """Power-iteration range finders with reorthogonalization.
 
-Four schemes produce a basis of the dominant row or column space from a
-Gaussian sketch.  Interior renormalizations use pivoted LU (keeping only the
-row-unpermuted L factor, which preserves the span exactly); the final step
-uses QR when an orthonormal basis is required.  Pass accounting is strict:
-one accessor product equals one pass.
+Every scheme runs one alternating chain A, A^T, A, ... from a Gaussian
+start (_power_chain) and differs only in the renormalization between
+products and in the factorization of the last one:
+
+- power_basis_q: QR between products, QR at the end (randsvd);
+- power_basis_lu_l: pivoted LU between products, pivoted LU at the end
+  (randlu);
+- general_power_basis_v: pivoted LU between products, QR at the end, for
+  any pass budget v >= 2 (powerlu, powerlu_fp); even v starts with A^T;
+- fixedrank.randlu_noreorth: no renormalization at all.
+
+Interior LU renormalizations keep only the row-unpermuted L factor, which
+preserves the span exactly.  Pass accounting is strict: one accessor
+product equals one pass.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -20,36 +28,6 @@ from .errors import RankCollapse
 class RangeBasis(NamedTuple):
     V: np.ndarray  # orthonormal columns (n x l for row-space, m x l for column-space)
     passes_used: int
-
-
-class SketchLU(NamedTuple):
-    L: np.ndarray  # m x l, unit-diagonal lower trapezoidal
-    U: np.ndarray  # l x l
-    p: np.ndarray  # row permutation of the sketch
-
-
-@dataclass(frozen=True)
-class PowerParams:
-    """Sketch-size bookkeeping: width l = k + q_oversample, exponent p, passes v.
-
-    The two conventions are tied by v = 2p + 2 (the pass count of the
-    LU/SVD drivers at exponent p).
-    """
-
-    l: int
-    p: int
-    v: int
-    q_oversample: int
-
-    @classmethod
-    def from_power(cls, k, q_oversample, p):
-        return cls(l=k + q_oversample, p=p, v=2 * p + 2, q_oversample=q_oversample)
-
-    @classmethod
-    def from_passes(cls, k, q_oversample, v):
-        if v < 2 or v % 2:
-            raise ValueError(f"pass budget {v} has no power-exponent equivalent")
-        return cls(l=k + q_oversample, p=(v - 2) // 2, v=v, q_oversample=q_oversample)
 
 
 def _check_width(diag, requested):
@@ -70,17 +48,38 @@ def _qr_basis(x):
     return q
 
 
+def _final_sketch_lu(y):
+    """Pivoted LU (L, U, p) of the sketch, rejecting dependent columns."""
+    f = kernels.plu(y)
+    _check_width(np.diag(f.U), y.shape[1])
+    return f
+
+
 def _lu_basis(x):
     """Row-unpermuted L of lu(x): spans exactly what x spans."""
-    f = kernels.plu(x)
-    _check_width(np.diag(f.U), x.shape[1])
+    f = _final_sketch_lu(x)
     return core.apply_inv_row_perm(f.p, f.L)
 
 
-def _validate(a, l, lower=1):
+def _validate(a, l):
     m, n = a.shape
-    if not lower <= l <= min(m, n):
-        raise ValueError(f"sketch width l={l} outside {lower}..min{(m, n)}")
+    if not 1 <= l <= min(m, n):
+        raise ValueError(f"sketch width l={l} outside 1..min{(m, n)}")
+
+
+def _power_chain(a, x, products, renorm, transpose_first=False):
+    """Apply A and A^T alternately to x, `products` times in all.
+
+    The first product is A @ x, or A^T @ x when transpose_first is set.
+    renorm runs between consecutive products, never after the last one;
+    the last raw product is returned.
+    """
+    steps = (a.rmatmul, a.matmul) if transpose_first else (a.matmul, a.rmatmul)
+    for i in range(products):
+        if i:
+            x = renorm(x)
+        x = steps[i % 2](x)
+    return x
 
 
 def power_basis_q(a, l, p, seed):
@@ -93,13 +92,8 @@ def power_basis_q(a, l, p, seed):
     if p < 0:
         raise ValueError("p must be >= 0")
     om = core.gaussian(seed, a.shape[1], l)
-    q = _qr_basis(a.matmul(om))
-    passes = 1
-    for _ in range(p):
-        q = _qr_basis(a.rmatmul(q))
-        q = _qr_basis(a.matmul(q))
-        passes += 2
-    return RangeBasis(q, passes)
+    y = _power_chain(a, om, 2 * p + 1, _qr_basis)
+    return RangeBasis(_qr_basis(y), 2 * p + 1)
 
 
 def power_basis_lu_l(a, l, p, seed):
@@ -115,62 +109,22 @@ def power_basis_lu_l(a, l, p, seed):
     if p < 0:
         raise ValueError("p must be >= 0")
     om = core.gaussian(seed, a.shape[1], l)
-    y = a.matmul(om)
-    if p == 0:
-        return _final_sketch_lu(y)
-    w = _lu_basis(y)
-    for i in range(1, p + 1):
-        w = _lu_basis(a.rmatmul(w))
-        y = a.matmul(w)
-        if i == p:
-            return _final_sketch_lu(y)
-        w = _lu_basis(y)
-    raise AssertionError("unreachable")
-
-
-def _final_sketch_lu(y):
-    f = kernels.plu(y)
-    _check_width(np.diag(f.U), y.shape[1])
-    return SketchLU(f.L, f.U, f.p)
-
-
-def power_basis_v(a, l, p, seed):
-    """Row-space basis V of (A^T A)^p Omega; odd pass budget 2p (p >= 1)."""
-    if p < 1:
-        raise ValueError("p must be >= 1: no products means no basis")
-    return general_power_basis_v(a, l, 2 * p + 1, seed)
+    return _final_sketch_lu(_power_chain(a, om, 2 * p + 1, _lu_basis))
 
 
 def general_power_basis_v(a, l, v, seed):
     """Row-space basis for any pass budget v >= 2.
 
-    Odd v: basis of (A^T A)^{(v-1)/2} Omega with Omega n x l (identical code
-    path to power_basis_v at p = (v-1)/2).  Even v: basis of
-    (A^T A)^{floor((v-1)/2)} A^T Omega with Omega m x l.  Consumes exactly
-    v - 1 passes; the caller's A @ V spends the final one.
+    Odd v: basis of (A^T A)^{(v-1)/2} Omega with Omega n x l.  Even v: basis
+    of (A^T A)^{floor((v-1)/2)} A^T Omega with Omega m x l.  Consumes
+    exactly v - 1 passes; the caller's A @ V spends the final one.
     """
     a = as_accessor(a)
     _validate(a, l)
     if v < 2:
         raise ValueError("pass budget v must be >= 2")
     m, n = a.shape
-    passes = 0
-    if v % 2 == 0:
-        om = core.gaussian(seed, m, l)
-        x = a.rmatmul(om)
-        passes += 1
-        if v == 2:
-            return RangeBasis(_qr_basis(x), passes)
-        w = _lu_basis(x)
-    else:
-        w = core.gaussian(seed, n, l)
-    half = (v - 1) // 2
-    for i in range(1, half + 1):
-        w = _lu_basis(a.matmul(w))
-        passes += 1
-        if i == half:
-            basis = _qr_basis(a.rmatmul(w))
-        else:
-            w = _lu_basis(a.rmatmul(w))
-        passes += 1
-    return RangeBasis(basis, passes)
+    even = v % 2 == 0
+    om = core.gaussian(seed, m if even else n, l)
+    y = _power_chain(a, om, v - 1, _lu_basis, transpose_first=even)
+    return RangeBasis(_qr_basis(y), v - 1)

@@ -6,15 +6,14 @@ alone.  Streams may deliver columns in panels for cache efficiency; the
 accumulation order is fixed (ascending column index) for reproducibility.
 """
 
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.io
-import scipy.sparse as sp
 
 from . import core, fileio, kernels
 from .errors import IllConditionedSolve
-from .fixedrank import LowRankLU, LowRankSVD
+from .fixedrank import LowRankLU, LowRankSVD, column_pivot_assembly
 
 DEFAULT_PANEL = 256
 
@@ -78,7 +77,7 @@ class MatrixMarketColumnStream(_StreamBase):
     """Streams a Matrix Market file; columns are densified per panel."""
 
     def __init__(self, path):
-        self._a = sp.csc_matrix(scipy.io.mmread(path))
+        self._a = fileio.read_mm(path)
         super().__init__(self._a.shape)
 
     def _panel(self, j0, j1):
@@ -126,10 +125,10 @@ def stream_sketch(stream, k, seed, panel=DEFAULT_PANEL):
 def single_pass_lu(stream, k, seed, q_os=0, panel=DEFAULT_PANEL):
     """Rank-k LU factorization reading each column of A exactly once.
 
-    lu(H) -> (L1, U1, p); T = (G^T)^+ U1^T via the economy QR of G;
-    lu(T) -> (L2, U2, q); L = L1 U2^T, U = L2^T.  No oversampling by
-    default; with q_os > 0 the sketch is wider and the factors are cut back
-    to k afterwards.
+    lu(H) -> (L1, U1, p); T = (G^T)^+ U1^T via the economy QR of G; then
+    the column-pivot assembly lu(T) -> (L2, U2, q), L = L1 U2^T, U = L2^T.
+    No oversampling by default; with q_os > 0 the sketch is wider and the
+    factors are cut back to k afterwards.
 
     Raises IllPosedPseudoinverse when G is numerically rank-deficient
     (k above the numerical rank of A).
@@ -138,13 +137,8 @@ def single_pass_lu(stream, k, seed, q_os=0, panel=DEFAULT_PANEL):
     g, h = stream_sketch(stream, l, seed, panel=panel)
     l1, u1, perm = kernels.plu(h)
     t = kernels.pinv_transpose_apply(g, u1.T)
-    l2, u2, qperm = kernels.plu(t)
-    big_l = l1 @ u2.T
-    big_u = l2.T
-    if q_os:
-        big_l = big_l[:, :k]
-        big_u = big_u[:k, :]
-    return LowRankLU(p=perm, q=qperm, L=big_l, U=big_u, rank=k)
+    f = column_pivot_assembly(l1, perm, t)
+    return replace(f, L=f.L[:, :k], U=f.U[:k, :], rank=k)
 
 
 def single_pass_lu_rowmajor(a, k, seed, q_os=0, panel=DEFAULT_PANEL):

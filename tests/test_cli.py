@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from rlra import core, fileio, matgen
+from rlra import cli, core, fileio, fixedrank, matgen
 from rlra.cli import CSV_HEADER, main
 
 
@@ -155,6 +155,21 @@ def test_non_finite_input_exit_1(tmp_path, capsys, cmd):
     assert "NaN or infinite" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("cmd", [["factor", "--alg", "singlepass", "--rank", "10"],
+                                 ["adapt", "--tol", "1e-2", "--block", "5"]])
+def test_large_matrix_skips_reconstruction(tmp_path, capsys, monkeypatch, cmd):
+    # above DENSE_ERROR_LIMIT rel_err is not computed, so the m x n
+    # reconstruction must not be built either
+    def no_reconstruct(fac):
+        raise AssertionError("reconstruct called for an unreported error")
+
+    monkeypatch.setattr(cli, "DENSE_ERROR_LIMIT", 0)
+    monkeypatch.setattr(fixedrank, "reconstruct", no_reconstruct)
+    path = gen_file(tmp_path, m=60, n=50)
+    assert main(cmd + ["--in", path]) == 0
+    assert parse_summary(capsys.readouterr().out)["rel_err"] == "nan"
+
 def test_adapt_reports_rank_and_convergence(tmp_path, capsys):
     path = gen_file(tmp_path, "fast", 300, 300, seed=3)
     rc = main(["adapt", "--in", path, "--tol", "1e-4", "--block", "10",
@@ -243,6 +258,22 @@ def test_bench_accuracy_suite_csv(tmp_path):
         if r["alg"] != "tsvd" and r["wall_ms"]:
             float(r["wall_ms"])  # timing stays informational but parseable
 
+
+
+def test_bench_rank_sweep_suite_csv(tmp_path):
+    out = str(tmp_path / "sweep.csv")
+    assert main(["bench", "--suite", "rank-sweep", "--type", "fast", "--n", "230",
+                 "--seeds", "1", "--out", out]) == 0
+    with open(out, newline="") as fh:
+        assert next(csv.reader(fh)) == CSV_HEADER
+    rows = list(csv.DictReader(open(out, newline="")))
+    # ranks 100 and 200 (k + 10 <= n), 3 algs x 1 seed each, no oracle rows
+    assert len(rows) == 6
+    assert {r["alg"] for r in rows} == {"powerlu", "randlu", "randsvd"}
+    assert sorted({int(r["k"]) for r in rows}) == [100, 200]
+    for r in rows:
+        assert float(r["rel_err"]) >= 0.0
+        assert r["passes"] == "4"
 
 def test_module_entry_point(tmp_path):
     out = subprocess.run(

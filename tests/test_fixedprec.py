@@ -4,6 +4,7 @@ import pytest
 from rlra import core, fixedprec, fixedrank, matgen
 from rlra.accessors import InstrumentedAccessor
 from rlra.errors import NotConverged, Unsatisfiable
+from projection_identities import error_indicator_check, projection_decomposition_check
 
 
 def unit_cols(weights):
@@ -107,10 +108,10 @@ def test_error_indicator_identity_and_guard():
     rng = np.random.default_rng(5)
     a = core.gaussian_from(rng, 30, 25)
     v, _ = np.linalg.qr(core.gaussian_from(rng, 25, 6))
-    lhs, rhs = fixedprec.error_indicator_check(a, v)
+    lhs, rhs = error_indicator_check(a, v)
     assert abs(lhs - rhs) <= 1e-10 * core.fro_norm(a) ** 2
     with pytest.raises(ValueError, match="orthonormal"):
-        fixedprec.error_indicator_check(a, core.gaussian_from(rng, 25, 6))
+        error_indicator_check(a, core.gaussian_from(rng, 25, 6))
 
 
 def test_projection_decomposition_defect_small():
@@ -118,7 +119,7 @@ def test_projection_decomposition_defect_small():
     a = core.gaussian_from(rng, 40, 40)
     q, _ = np.linalg.qr(core.gaussian_from(rng, 40, 20))
     blocks = [q[:, 4 * i : 4 * i + 4] for i in range(5)]
-    assert fixedprec.projection_decomposition_check(a, blocks) < 1e-9
+    assert projection_decomposition_check(a, blocks) < 1e-9
 
 
 def test_powerlu_fp_meets_tolerance():

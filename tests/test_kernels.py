@@ -130,14 +130,6 @@ def test_pinv_transpose_apply_matches_pinv():
     assert np.allclose(kernels.pinv_transpose_apply(l, m), expected, atol=1e-12)
 
 
-def test_projector_apply_idempotent():
-    rng = np.random.default_rng(9)
-    q, _ = np.linalg.qr(core.gaussian_from(rng, 20, 5))
-    m = core.gaussian_from(rng, 20, 3)
-    once = kernels.projector_apply(q, m)
-    assert np.allclose(kernels.projector_apply(q, once), once, atol=1e-13)
-
-
 def test_tsvd_is_rank_k_optimum():
     rng = np.random.default_rng(10)
     a = core.gaussian_from(rng, 30, 20)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rlra import core, matgen, rangefinder
+from rlra import core, fixedrank, kernels, matgen, rangefinder
 from rlra.accessors import DenseAccessor, InstrumentedAccessor
 from rlra.errors import RankCollapse
 
@@ -17,19 +17,6 @@ def subspace_angle(x, y):
         return float(np.arccos(np.clip(cos_min, -1.0, 1.0)))
     sin_max = np.linalg.svd(qy - qx @ c, compute_uv=False)[0]
     return float(np.arcsin(np.clip(sin_max, -1.0, 1.0)))
-
-
-def test_power_params_conversions():
-    pp = rangefinder.PowerParams.from_power(k=30, q_oversample=10, p=2)
-    assert (pp.l, pp.p, pp.v) == (40, 2, 6)
-    pv = rangefinder.PowerParams.from_passes(k=30, q_oversample=10, v=6)
-    assert pv == pp
-
-
-@pytest.mark.parametrize("v", [1, 3, 5])
-def test_power_params_rejects_odd_passes(v):
-    with pytest.raises(ValueError):
-        rangefinder.PowerParams.from_passes(k=5, q_oversample=2, v=v)
 
 
 @pytest.mark.parametrize("p", [0, 1, 2])
@@ -50,14 +37,6 @@ def test_general_power_basis_v_orthonormal_and_pass_count(v):
     assert np.allclose(basis.V.T @ basis.V, np.eye(8), atol=1e-12)
     assert basis.passes_used == v - 1
     assert acc.product_count == v - 1
-
-
-def test_power_basis_v_is_the_odd_path():
-    acc = DenseAccessor(core.gaussian(30, 35, 28))
-    direct = rangefinder.power_basis_v(acc, 6, 2, seed=4)
-    general = rangefinder.general_power_basis_v(acc, 6, 5, seed=4)
-    assert np.array_equal(direct.V, general.V)
-    assert direct.passes_used == general.passes_used == 4
 
 
 def test_two_pass_basis_is_qr_of_transpose_sketch():
@@ -133,8 +112,6 @@ def test_width_validation():
         rangefinder.power_basis_q(a, 4, -1, seed=0)
     with pytest.raises(ValueError):
         rangefinder.general_power_basis_v(a, 4, 1, seed=0)
-    with pytest.raises(ValueError):
-        rangefinder.power_basis_v(a, 4, 0, seed=0)
 
 
 def test_mean_error_improves_with_pass_budget():
@@ -150,3 +127,63 @@ def test_mean_error_improves_with_pass_budget():
         means.append(np.mean(errs))
     for worse, better in zip(means, means[1:]):
         assert better <= 1.05 * worse
+
+
+
+def _lu_l(x):
+    f = kernels.plu(x)
+    return core.apply_inv_row_perm(f.p, f.L)
+
+
+def _q(x):
+    return kernels.eqr(x).Q
+
+
+def _chain_input(seed):
+    a, _ = matgen.gen_decay("slow", 40, 30, seed=seed)
+    return DenseAccessor(a)
+
+
+@pytest.mark.parametrize("v", [2, 3, 4, 5, 6])
+def test_general_power_basis_v_chain_order(v):
+    # even v: A^T first from an m x l draw; odd v: A first from n x l; LU
+    # between the v - 1 products, QR of the last
+    acc = _chain_input(v)
+    m, n = acc.shape
+    x = core.gaussian(3, m if v % 2 == 0 else n, 8)
+    for i in range(v - 1):
+        if i:
+            x = _lu_l(x)
+        x = acc.rmatmul(x) if (i + v) % 2 == 0 else acc.matmul(x)
+    assert np.array_equal(rangefinder.general_power_basis_v(acc, 8, v, seed=3).V, _q(x))
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_power_basis_chain_order(p):
+    # A first, then A^T and A p times each: QR between products for the
+    # column basis, row-unpermuted L for the LU sketch
+    acc = _chain_input(p)
+    om = core.gaussian(4, 30, 8)
+    yq = ylu = acc.matmul(om)
+    for _ in range(p):
+        yq = acc.matmul(_q(acc.rmatmul(_q(yq))))
+        ylu = acc.matmul(_lu_l(acc.rmatmul(_lu_l(ylu))))
+    assert np.array_equal(rangefinder.power_basis_q(acc, 8, p, seed=4).V, _q(yq))
+    sk = rangefinder.power_basis_lu_l(acc, 8, p, seed=4)
+    f = kernels.plu(ylu)
+    assert all(np.array_equal(x, y) for x, y in zip(sk, (f.L, f.U, f.p)))
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_randlu_noreorth_chain_order(p):
+    # the raw chain A (A^T A)^p Omega with no renormalization, then the
+    # same post-sketch assembly as randlu
+    acc = _chain_input(p)
+    y = core.gaussian(5, 30, 12)
+    for _ in range(p):
+        y = acc.rmatmul(acc.matmul(y))
+    sk = rangefinder._final_sketch_lu(acc.matmul(y))
+    want = fixedrank._assemble_from_sketch_lu(acc, sk, 6)
+    got = fixedrank.randlu_noreorth(acc, 6, 6, p, seed=5)
+    for name in ("p", "q", "L", "U"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
