@@ -189,7 +189,7 @@ def cmd_factor(args):
         m, n = stream.shape
         fac = singlepass.single_pass_lu(stream, args.rank, args.seed, panel=args.panel)
         wall = 1e3 * (time.perf_counter() - started)
-        dense = fileio.read_rlra(args.infile) if m * n <= DENSE_ERROR_LIMIT and not args.infile.endswith((".mtx", ".mm")) else None
+        dense = _load_accessor(args.infile).to_dense() if m * n <= DENSE_ERROR_LIMIT else None
         rel = _report_error(dense, fac)
         if args.prefix:
             _write_lu(args.prefix, fac)

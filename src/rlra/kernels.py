@@ -42,7 +42,8 @@ def plu(a):
     whose active part is negligible (relative to the whole column) gets no
     swap and a zero L column below the diagonal, so rank-deficient input is
     handled without error; a dependent column leaves an exactly zero pivot.
-    The input is copied once, into the F-ordered work array.
+    The input is copied once, into the F-ordered work array; L and U are
+    C-ordered copies of its two triangles.
     """
     lu = np.array(a, dtype=np.float64, order="F")
     if lu.ndim != 2:
@@ -51,9 +52,14 @@ def plu(a):
     piv = np.arange(m, dtype=np.int64)
     backend.plu_inplace(lu, piv, a)
     r = min(m, n)
-    L = np.tril(lu[:, :r], -1)
-    L[np.arange(r), np.arange(r)] = 1.0
     U = np.triu(lu[:r, :])
+    # L is unpacked over the work array (U is copied out first), then copied
+    # C-ordered: small BLAS products round differently per layout, and the
+    # drivers' factors are pinned to this one
+    for j in range(1, r):
+        lu[:j, j] = 0.0
+    lu[np.arange(r), np.arange(r)] = 1.0
+    L = np.array(lu[:, :r], order="C")
     return PivotedLU(L, U, piv)
 
 

@@ -2,8 +2,10 @@
 
 Both sketches G = A^T Omega and H = A G are accumulated while each column of
 A is read exactly once; the factorization then works on the small sketches
-alone.  Streams may deliver columns in panels for cache efficiency; the
-accumulation order is fixed (ascending column index) for reproducibility.
+alone.  Streams deliver columns in panels, dense arrays or (for Matrix
+Market files) scipy.sparse column slices, so a sparse sweep costs O(nnz k)
+rather than O(m n k); the accumulation order is fixed (ascending column
+index) for reproducibility.
 """
 
 from dataclasses import replace
@@ -74,14 +76,15 @@ class RlraFileColumnStream(_StreamBase):
 
 
 class MatrixMarketColumnStream(_StreamBase):
-    """Streams a Matrix Market file; columns are densified per panel."""
+    """Streams a Matrix Market file, read whole into CSC on open; panels are
+    sparse CSC column slices, never densified."""
 
     def __init__(self, path):
         self._a = fileio.read_mm(path)
         super().__init__(self._a.shape)
 
     def _panel(self, j0, j1):
-        return np.asarray(self._a[:, j0:j1].todense(), dtype=np.float64)
+        return self._a[:, j0:j1]
 
 
 class TransposingRowStream(_StreamBase):
@@ -98,9 +101,11 @@ class TransposingRowStream(_StreamBase):
 def stream_sketch(stream, k, seed, panel=DEFAULT_PANEL):
     """One sweep: G row block = panel^T Omega, H += panel @ (G block).
 
-    Omega is m x k.  Raises on a stream that delivers the wrong number of
-    columns, and NonFiniteInput on a panel with NaN or infinite entries
-    (seen in its k-wide product panel^T Omega, without a scan of the panel).
+    Omega is m x k.  Panels may be dense arrays or scipy.sparse matrices;
+    a sparse panel costs O(nnz k).  Raises on a stream that delivers the
+    wrong number of columns, and NonFiniteInput on a panel with NaN or
+    infinite entries (seen in its k-wide product panel^T Omega, without a
+    scan of the panel).
     """
     m, n = stream.shape
     if not 1 <= k <= min(m, n):
@@ -112,10 +117,11 @@ def stream_sketch(stream, k, seed, panel=DEFAULT_PANEL):
     for j0, block in stream.panels(panel):
         w = block.shape[1]
         gb = core.require_finite(
-            block.T @ om, f"panel^T Omega for stream columns {j0}..{j0 + w - 1}"
+            np.asarray(block.T @ om),
+            f"panel^T Omega for stream columns {j0}..{j0 + w - 1}",
         )
         g[j0 : j0 + w, :] = gb
-        h += block @ gb
+        h += np.asarray(block @ gb)
         count += w
     if count != n:
         raise ValueError(f"stream delivered {count} columns, expected {n}")
@@ -128,7 +134,8 @@ def single_pass_lu(stream, k, seed, q_os=0, panel=DEFAULT_PANEL):
     lu(H) -> (L1, U1, p); T = (G^T)^+ U1^T via the economy QR of G; then
     the column-pivot assembly lu(T) -> (L2, U2, q), L = L1 U2^T, U = L2^T.
     No oversampling by default; with q_os > 0 the sketch is wider and the
-    factors are cut back to k afterwards.
+    factors are cut back to k afterwards.  The stream's panels may be dense
+    or sparse (see stream_sketch).
 
     Raises IllPosedPseudoinverse when G is numerically rank-deficient
     (k above the numerical rank of A).

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from rlra import cli, core, fileio, fixedrank, matgen
+from rlra import cli, core, fileio, fixedrank, matgen, singlepass
 from rlra.cli import CSV_HEADER, main
 
 
@@ -116,6 +116,29 @@ def test_factor_singlepass_reports_columns(tmp_path, capsys):
     info = parse_summary(capsys.readouterr().out.strip())
     assert info["columns"] == "100"
     assert float(info["rel_err"]) < 1.0
+
+
+def test_factor_singlepass_reports_mtx_error(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "s.mtx")
+    assert main(["gen", "--type", "sparse", "--m", "300", "--n", "200",
+                 "--density", "0.05", "--seed", "2", "--out", path]) == 0
+    # the summary prints 7 digits; the spy keeps the full value
+    reported = []
+    report = cli._report_error
+
+    def spy(dense, fac):
+        reported.append(report(dense, fac))
+        return reported[-1]
+
+    monkeypatch.setattr(cli, "_report_error", spy)
+    assert main(["factor", "--in", path, "--alg", "singlepass", "--rank", "20"]) == 0
+    info = parse_summary(capsys.readouterr().out)
+    a = fileio.read_mm(path).toarray()
+    fac = singlepass.single_pass_lu(singlepass.MatrixMarketColumnStream(path), 20, seed=0)
+    expected = core.rel_fro_error(a, fixedrank.reconstruct(fac))
+    assert np.isfinite(float(info["rel_err"]))
+    assert info["rel_err"] == f"{reported[0]:.6e}"
+    assert abs(reported[0] - expected) <= 1e-12
 
 
 @pytest.mark.parametrize("extra", [

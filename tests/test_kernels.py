@@ -26,6 +26,31 @@ def test_plu_reconstructs(m, n):
     assert np.array_equal(np.diag(f.L), np.ones(r))
 
 
+@pytest.mark.parametrize("m,n", [(200, 11), (40, 40), (8, 20), (30, 50)])
+def test_plu_unpacks_getrf_output(monkeypatch, m, n):
+    # L and U are exactly the tril/triu unpack of the same packed factor,
+    # laid out alike (downstream products round differently per layout),
+    # and a wide input's L is its own m x m array, not a view of the m x n
+    # work array
+    a = core.gaussian(m + 7 * n, m, n)
+    buffers = []
+    inplace = backend.plu_inplace
+    monkeypatch.setattr(backend, "plu_inplace",
+                        lambda lu, piv, src: buffers.append(lu) or inplace(lu, piv, src))
+    f = kernels.plu(a)
+    lu = np.array(a, order="F")
+    piv = np.arange(m, dtype=np.int64)
+    inplace(lu, piv, a)
+    r = min(m, n)
+    expected_l = np.tril(lu[:, :r], -1)
+    expected_l[np.arange(r), np.arange(r)] = 1.0
+    assert np.array_equal(f.p, piv)
+    assert np.array_equal(f.L, expected_l) and f.L.strides == expected_l.strides
+    assert np.array_equal(f.U, np.triu(lu[:r, :]))
+    if r < n:
+        assert not np.shares_memory(f.L, buffers[0])
+
+
 def test_plu_permutation_valid():
     f = kernels.plu(core.gaussian(2, 15, 6))
     core.check_perm(f.p, 15)

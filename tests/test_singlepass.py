@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rlra import core, fileio, fixedrank, matgen, singlepass
-from rlra.errors import IllPosedPseudoinverse
+from rlra.errors import IllPosedPseudoinverse, NonFiniteInput
 
 
 def exact_rank_matrix(m, n, r, seed):
@@ -145,3 +146,47 @@ def test_baseline_2011_captures_exact_rank():
 def test_baseline_2011_rank_validation():
     with pytest.raises(ValueError):
         singlepass.single_pass_baseline_2011(np.eye(5), 6, seed=0)
+
+
+def write_sparse_mtx(tmp_path, m, n, density, seed):
+    acc = matgen.gen_sparse(m, n, density, seed)
+    path = str(tmp_path / "a.mtx")
+    fileio.write_mm(path, acc.sparse)
+    return path, acc.to_dense()
+
+
+def test_matrix_market_panels_are_sparse(tmp_path):
+    path, a = write_sparse_mtx(tmp_path, 60, 45, 0.1, seed=15)
+    panels = list(singlepass.MatrixMarketColumnStream(path).panels(16))
+    assert [j0 for j0, _ in panels] == [0, 16, 32]
+    for j0, block in panels:
+        assert sp.issparse(block)
+        assert np.array_equal(block.toarray(), a[:, j0 : j0 + block.shape[1]])
+
+
+def test_matrix_market_single_pass_never_densifies(tmp_path, monkeypatch):
+    path, a = write_sparse_mtx(tmp_path, 300, 200, 0.05, seed=16)
+    stream = singlepass.MatrixMarketColumnStream(path)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a sparse panel was densified")
+
+    for cls in (sp.csc_matrix, sp.csr_matrix):
+        monkeypatch.setattr(cls, "toarray", refuse)
+        monkeypatch.setattr(cls, "todense", refuse)
+    f = singlepass.single_pass_lu(stream, 20, seed=4, panel=64)
+    monkeypatch.undo()
+    fd = singlepass.single_pass_lu(singlepass.DenseColumnStream(a), 20, seed=4, panel=64)
+    approx = fixedrank.reconstruct(f)
+    assert core.fro_norm(approx - fixedrank.reconstruct(fd)) <= 1e-12 * core.fro_norm(approx)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_matrix_market_non_finite_raises(tmp_path, bad):
+    acc = matgen.gen_sparse(50, 40, 0.1, seed=17)
+    coo = acc.sparse.tocoo()
+    coo.data[3] = bad
+    path = str(tmp_path / "bad.mtx")
+    fileio.write_mm(path, coo)
+    with pytest.raises(NonFiniteInput):
+        singlepass.single_pass_lu(singlepass.MatrixMarketColumnStream(path), 5, seed=0)
