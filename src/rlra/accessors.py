@@ -5,7 +5,10 @@ shape, and the Frobenius norm.  One product call is one pass over A
 regardless of the width of X; InstrumentedAccessor counts them, which is how
 the pass budgets are asserted.  The dense and sparse accessors reject a
 product with NaN or infinite entries (NonFiniteInput); the check reads only
-the product, never A.
+the product, never A.  Dense products are computed as (X^T A^T)^T, so that
+the long side of the result leads in the GEMM (OpenBLAS runs a short
+leading side up to 2.5x slower), and copied back to the C-ordered layout
+that A @ X has: the drivers' small products round differently per layout.
 """
 
 import numpy as np
@@ -27,10 +30,10 @@ class DenseAccessor:
         return self._a.shape
 
     def matmul(self, x):
-        return core.require_finite(self._a @ x, "A @ X")
+        return core.require_finite(np.ascontiguousarray((x.T @ self._a.T).T), "A @ X")
 
     def rmatmul(self, x):
-        return core.require_finite(self._a.T @ x, "A.T @ X")
+        return core.require_finite(np.ascontiguousarray((x.T @ self._a).T), "A.T @ X")
 
     def fro_norm(self):
         return core.fro_norm(self._a)

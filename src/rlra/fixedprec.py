@@ -25,9 +25,16 @@ class AdaptiveOutcome:
     converged: bool
 
 
+# smallest resolvable tolerance: E is a difference of energies of size
+# ||A||_F^2, so it carries an error of about u ||A||_F^2 (u the unit roundoff),
+# and eps^2 ||A||_F^2 must stay above that
+EPS_FLOOR = float(np.sqrt(np.finfo(np.float64).eps))
+
+
 @dataclass(frozen=True)
 class PrecisionParams:
-    """Tolerance eps, block size b, sketch width l (a multiple of b), passes v."""
+    """Tolerance eps in [EPS_FLOOR, 1], block size b, sketch width l (a
+    multiple of b), passes v."""
 
     eps: float
     b: int
@@ -37,6 +44,11 @@ class PrecisionParams:
     def __post_init__(self):
         if not 0.0 < self.eps <= 1.0:
             raise ValueError(f"eps={self.eps} outside (0, 1]")
+        if self.eps < EPS_FLOOR:
+            raise ValueError(
+                f"eps={self.eps} below the residual indicator's floor "
+                f"{EPS_FLOOR:.3g} (sqrt of float64 machine epsilon)"
+            )
         if self.b < 1:
             raise ValueError("block size must be >= 1")
         if self.l < self.b or self.l % self.b:

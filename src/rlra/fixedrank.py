@@ -166,8 +166,8 @@ def range_agreement(f1, f2):
         raise ValueError("row dimensions differ")
     if f1.rank != f2.rank:
         raise ValueError(f"rank mismatch: {f1.rank} vs {f2.rank}")
-    q1, _ = np.linalg.qr(core.apply_inv_row_perm(f1.p, f1.L))
-    q2, _ = np.linalg.qr(core.apply_inv_row_perm(f2.p, f2.L))
+    q1 = kernels.eqr(core.apply_inv_row_perm(f1.p, f1.L)).Q
+    q2 = kernels.eqr(core.apply_inv_row_perm(f2.p, f2.L)).Q
     c = q1.T @ q2
     cos_min = np.linalg.svd(c, compute_uv=False)[-1]
     if cos_min**2 <= 0.5:

@@ -12,6 +12,7 @@ from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import core, fileio, kernels
 from .errors import IllConditionedSolve
@@ -116,12 +117,15 @@ def stream_sketch(stream, k, seed, panel=DEFAULT_PANEL):
     count = 0
     for j0, block in stream.panels(panel):
         w = block.shape[1]
+        sparse = sp.issparse(block)
+        # dense panels: transposed GEMMs, so the long side of each product
+        # leads (see accessors)
         gb = core.require_finite(
-            np.asarray(block.T @ om),
+            np.asarray(block.T @ om) if sparse else (om.T @ block).T,
             f"panel^T Omega for stream columns {j0}..{j0 + w - 1}",
         )
         g[j0 : j0 + w, :] = gb
-        h += np.asarray(block @ gb)
+        h += np.asarray(block @ gb) if sparse else (gb.T @ block.T).T
         count += w
     if count != n:
         raise ValueError(f"stream delivered {count} columns, expected {n}")

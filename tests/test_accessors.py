@@ -9,6 +9,7 @@ from rlra.accessors import (
     SparseAccessor,
     as_accessor,
 )
+from rlra.errors import NonFiniteInput
 
 
 def sample_sparse():
@@ -27,6 +28,39 @@ def test_dense_products():
     assert np.array_equal(acc.rmatmul(y), a.T @ y)
     assert acc.fro_norm() == core.fro_norm(a)
     assert np.array_equal(acc.to_dense(), a)
+
+
+def rel_diff(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+# 12x8 and 300x200 take OpenBLAS's small-matrix path, 600x400 the blocked one
+@pytest.mark.parametrize("m,n,l", [(12, 8, 3), (300, 200, 30), (600, 400, 30)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_dense_products_layout(m, n, l, order):
+    # products run transposed in the GEMM and are handed back C-ordered,
+    # the layout a @ x has
+    a = core.gaussian(10, m, n)
+    acc = DenseAccessor(a)
+    x = np.asarray(core.gaussian(11, n, l), order=order)
+    y = np.asarray(core.gaussian(12, m, l), order=order)
+    ax, aty = acc.matmul(x), acc.rmatmul(y)
+    assert ax.flags.c_contiguous and aty.flags.c_contiguous
+    assert rel_diff(ax, a @ x) <= 1e-13
+    assert rel_diff(aty, a.T @ y) <= 1e-13
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_dense_products_reject_non_finite(order):
+    acc = DenseAccessor(core.gaussian(13, 300, 200))
+    x = np.array(core.gaussian(14, 200, 30), order=order)
+    y = np.array(core.gaussian(15, 300, 30), order=order)
+    x[5, 7] = np.nan
+    y[9, 2] = np.nan
+    with pytest.raises(NonFiniteInput, match=r"A @ X"):
+        acc.matmul(x)
+    with pytest.raises(NonFiniteInput, match=r"A\.T @ X"):
+        acc.rmatmul(y)
 
 
 def test_sparse_matches_dense():

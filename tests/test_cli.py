@@ -223,6 +223,15 @@ def test_adapt_restart_widens_until_unsatisfiable(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_adapt_rejects_eps_below_floor(tmp_path, capsys):
+    # below the floor the search cannot converge, and the restart schedule
+    # used to report it as unsatisfiable (exit 4)
+    path = gen_file(tmp_path, "fast", 600, 400, seed=0)
+    rc = main(["adapt", "--in", path, "--tol", "1e-9", "--l", "300"])
+    assert rc == 1
+    assert "floor 1.49e-08" in capsys.readouterr().err
+
+
 def test_compress_recovers_exact_rank_image(tmp_path, capsys):
     src = str(tmp_path / "in.pgm")
     pixels = write_rank_r_image(src, 120, 90, 20, seed=6)

@@ -31,6 +31,22 @@ def test_params_validation():
             fixedprec.PrecisionParams(**bad)
 
 
+def test_params_reject_eps_below_indicator_floor():
+    assert fixedprec.EPS_FLOOR == np.sqrt(np.finfo(np.float64).eps)
+    fixedprec.PrecisionParams(eps=fixedprec.EPS_FLOOR, b=5, l=20, v=4)
+    with pytest.raises(ValueError, match="floor 1.49e-08"):
+        fixedprec.PrecisionParams(eps=1e-9, b=5, l=20, v=4)
+
+
+def test_powerlu_fp_converges_above_floor():
+    # eps = 1e-9 on this matrix used to end in NotConverged at any width
+    a, _ = matgen.gen_decay("fast", 600, 400, seed=0)
+    params = fixedprec.PrecisionParams(eps=1e-6, b=10, l=300, v=4)
+    fac, out = fixedprec.powerlu_fp(a, params, seed=0)
+    assert out.converged
+    assert core.rel_fro_error(a, fixedrank.reconstruct(fac)) <= params.eps
+
+
 def test_default_width():
     assert fixedprec.default_width(10, 500, 1000) == 500
     assert fixedprec.default_width(7, 100, 50) == 49

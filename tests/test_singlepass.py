@@ -105,6 +105,28 @@ def test_file_stream_matches_dense(tmp_path):
     assert np.array_equal(hd, hf)
 
 
+@pytest.mark.parametrize("m,n,k", [(12, 8, 3), (300, 200, 30), (600, 400, 30)])
+def test_dense_stream_sketches_agree(tmp_path, m, n, k):
+    # every dense stream hands out F-ordered m x w panels, so the transposed
+    # panel products give bitwise-equal sketches whatever the source
+    a = core.gaussian(20, m, n)
+    path = str(tmp_path / "a.rlm")
+    fileio.write_rlra(path, a)
+    streams = [
+        singlepass.DenseColumnStream(a),
+        singlepass.RlraFileColumnStream(path),
+        singlepass.TransposingRowStream(np.ascontiguousarray(a.T)),
+    ]
+    (g, h), *others = [singlepass.stream_sketch(s, k, seed=3, panel=64) for s in streams]
+    for go, ho in others:
+        assert np.array_equal(go, g)
+        assert np.array_equal(ho, h)
+    g_ref = a.T @ core.gaussian(3, m, k)
+    assert np.linalg.norm(g - g_ref) <= 1e-13 * np.linalg.norm(g_ref)
+    h_ref = a @ g
+    assert np.linalg.norm(h - h_ref) <= 1e-13 * np.linalg.norm(h_ref)
+
+
 def test_matrix_market_stream(tmp_path):
     acc = matgen.gen_sparse(60, 45, 0.1, seed=12)
     path = str(tmp_path / "a.mtx")
