@@ -1,7 +1,8 @@
 """Randomized low-rank matrix factorizations with strict pass budgets.
 
 Fixed-rank drivers (randsvd, randlu, powerlu), a fixed-precision driver with
-blocked adaptive rank search (powerlu_fp), and a single-pass LU for streamed
+blocked adaptive rank search (powerlu_fp; powerlu_fp_restarting retries it
+with a wider or narrower sketch), and a single-pass LU for streamed
 matrices.  The pivoted-LU elimination runs on LAPACK getrf, with an exact
 unblocked elimination for sketches with dependent columns (rlra.backend).
 """
@@ -23,7 +24,7 @@ from .fixedprec import (
     PrecisionParams,
     adaptive_rank,
     powerlu_fp,
-    restart_policy,
+    powerlu_fp_restarting,
 )
 from .fixedrank import (
     LowRankLU,
@@ -32,7 +33,6 @@ from .fixedrank import (
     randlu,
     randlu_noreorth,
     randsvd,
-    range_agreement,
     reconstruct,
 )
 from .kernels import eqr, plu, spec_norm, tsvd
@@ -85,13 +85,12 @@ __all__ = [
     "power_basis_q",
     "powerlu",
     "powerlu_fp",
+    "powerlu_fp_restarting",
     "randlu",
     "randlu_noreorth",
     "randsvd",
-    "range_agreement",
     "reconstruct",
     "rel_fro_error",
-    "restart_policy",
     "single_pass_baseline_2011",
     "single_pass_lu",
     "single_pass_lu_rowmajor",

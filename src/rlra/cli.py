@@ -9,14 +9,13 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import core, fileio, fixedprec, fixedrank, matgen, singlepass
 from .accessors import InstrumentedAccessor
-from .errors import NotConverged, RankCollapse, RlraError, Unsatisfiable
+from .errors import NotConverged, RlraError, Unsatisfiable
 
 # matrices at most this many entries are densified to report rel_err
 DENSE_ERROR_LIMIT = 4_000_000
@@ -82,7 +81,7 @@ def build_parser():
     a.add_argument("--l", type=int, help="sketch width (default min(50*block, min(m,n)))")
     a.add_argument("--passes", type=int, default=4)
     a.add_argument("--no-restart", action="store_true",
-                   help="fail with exit 3 instead of widening the sketch")
+                   help="one attempt, exactly v passes (exit 3 if not converged)")
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--out-prefix", dest="prefix")
     a.set_defaults(func=cmd_adapt)
@@ -226,36 +225,14 @@ def cmd_factor(args):
     return 0
 
 
-def _adapt_loop(acc, params, seed, allow_restart):
-    """powerlu_fp with retry schedules: widen when not converged, narrow to
-    the achieved width when the sketch collapses (matrix rank below l)."""
-    m, n = acc.shape
-    cap = min(m, n)
-    attempt_seed = seed
-    while True:
-        try:
-            return fixedprec.powerlu_fp(acc, params, attempt_seed)
-        except NotConverged as exc:
-            if not allow_restart:
-                raise
-            params = fixedprec.restart_policy(exc.outcome, params, cap)
-            attempt_seed += 1
-        except RankCollapse as exc:
-            shrunk = max(params.b, exc.achieved - exc.achieved % params.b)
-            if shrunk >= params.l:
-                raise
-            params = replace(params, l=shrunk)
-            cap = shrunk  # wider sketches would only collapse again
-            attempt_seed += 1
-
-
 def cmd_adapt(args):
     acc = _load_accessor(args.infile)
     m, n = acc.shape
     width = args.l if args.l is not None else fixedprec.default_width(args.block, m, n)
     params = fixedprec.PrecisionParams(eps=args.tol, b=args.block, l=width, v=args.passes)
     started = time.perf_counter()
-    fac, outcome = _adapt_loop(acc, params, args.seed, not args.no_restart)
+    driver = fixedprec.powerlu_fp if args.no_restart else fixedprec.powerlu_fp_restarting
+    fac, outcome = driver(acc, params, args.seed)
     wall = 1e3 * (time.perf_counter() - started)
     dense = acc.to_dense() if m * n <= DENSE_ERROR_LIMIT else None
     rel = _report_error(dense, fac)
@@ -366,7 +343,7 @@ def cmd_compress(args):
     acc = InstrumentedAccessor(pixels)
     width = args.l if args.l is not None else fixedprec.default_width(args.block, m, n)
     params = fixedprec.PrecisionParams(eps=args.tol, b=args.block, l=width, v=args.passes)
-    fac, outcome = _adapt_loop(acc, params, args.seed, allow_restart=True)
+    fac, outcome = fixedprec.powerlu_fp_restarting(acc, params, args.seed)
     recon = fixedrank.reconstruct(fac)
     fileio.write_pgm(args.out, recon, maxval=maxval)
     k = outcome.rank

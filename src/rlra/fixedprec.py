@@ -4,7 +4,8 @@ LU factorization built on it.
 The residual energy E = ||A||_F^2 - sum_j ||A v_j||_F^2 is tracked by
 subtraction only; A is never updated or copied, and the whole search costs
 exactly v passes.  Once the stopping block is found, the rank is refined
-column by column inside it.
+column by column inside it.  powerlu_fp_restarting reruns the search with a
+wider or narrower sketch until it converges.
 """
 
 from dataclasses import dataclass, replace
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import core, fixedrank, rangefinder
 from .accessors import as_accessor
-from .errors import NotConverged, Unsatisfiable
+from .errors import NotConverged, RankCollapse, Unsatisfiable
 
 
 @dataclass
@@ -136,19 +137,33 @@ def powerlu_fp(a, params, seed):
     return fixedrank.lu_from_projection(out.G, out.V), out
 
 
-def restart_policy(prev, params, max_width):
-    """Widen the sketch after a failed search: double l, capped at max_width.
+def powerlu_fp_restarting(a, params, seed):
+    """powerlu_fp, rerun until it converges: widen on NotConverged, narrow
+    on RankCollapse.
 
-    The cap is floored to a multiple of the block size.  Raises Unsatisfiable
-    when l is already at the cap; rejects outcomes that actually converged.
-    The caller reruns on the original matrix with a fresh seed (fresh draw,
-    not a grown basis).
+    Not converged: l doubles, capped at min(m, n) floored to a multiple of
+    b; Unsatisfiable once l is at the cap.  Sketch collapse (A has rank
+    below l): l narrows to the achieved width floored to b (at least b),
+    which also becomes the cap, since wider sketches would collapse again;
+    the collapse is re-raised when that does not shrink l.  Rerun i draws
+    with seed + i, a fresh basis rather than a grown one.  Every attempt
+    spends up to v passes.  Returns (LowRankLU, AdaptiveOutcome).
     """
-    if prev.converged:
-        raise ValueError("restart on a converged outcome makes no sense")
-    cap = max_width - max_width % params.b
-    if cap < params.b or params.l >= cap:
-        raise Unsatisfiable(
-            f"sketch width {params.l} already at cap {cap} without converging"
-        )
-    return replace(params, l=min(2 * params.l, cap))
+    a = as_accessor(a)
+    cap = min(a.shape)
+    cap -= cap % params.b
+    while True:
+        try:
+            return powerlu_fp(a, params, seed)
+        except NotConverged:
+            if params.l >= cap:
+                raise Unsatisfiable(
+                    f"sketch width {params.l} already at cap {cap} without converging"
+                )
+            params = replace(params, l=min(2 * params.l, cap))
+        except RankCollapse as exc:
+            cap = max(params.b, exc.achieved - exc.achieved % params.b)
+            if cap >= params.l:
+                raise
+            params = replace(params, l=cap)
+        seed += 1

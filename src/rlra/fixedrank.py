@@ -6,13 +6,13 @@ exactly v products for the pass-parameterized LU driver.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import core, kernels, rangefinder
 from .accessors import as_accessor
+from .kernels import LowRankSVD
 
 
 @dataclass
@@ -28,12 +28,6 @@ class LowRankLU:
     L: np.ndarray
     U: np.ndarray
     rank: int
-
-
-class LowRankSVD(NamedTuple):
-    U: np.ndarray
-    S: np.ndarray
-    V: np.ndarray
 
 
 def _validate_rank(a, k, q_os):
@@ -158,21 +152,3 @@ def reconstruct(f):
     out = np.empty_like(r)
     out[np.ix_(f.p, f.q)] = r
     return out
-
-
-def range_agreement(f1, f2):
-    """Largest principal angle (radians) between the two permuted L ranges."""
-    if f1.L.shape[0] != f2.L.shape[0]:
-        raise ValueError("row dimensions differ")
-    if f1.rank != f2.rank:
-        raise ValueError(f"rank mismatch: {f1.rank} vs {f2.rank}")
-    q1 = kernels.eqr(core.apply_inv_row_perm(f1.p, f1.L)).Q
-    q2 = kernels.eqr(core.apply_inv_row_perm(f2.p, f2.L)).Q
-    c = q1.T @ q2
-    cos_min = np.linalg.svd(c, compute_uv=False)[-1]
-    if cos_min**2 <= 0.5:
-        return float(np.arccos(np.clip(cos_min, -1.0, 1.0)))
-    # near-aligned ranges: the cosine saturates at 1 and loses half the
-    # digits, while the residual sine stays fully accurate
-    sin_max = np.linalg.svd(q2 - q1 @ c, compute_uv=False)[0]
-    return float(np.arcsin(np.clip(sin_max, -1.0, 1.0)))

@@ -29,7 +29,7 @@ class EconomyQR(NamedTuple):
     R: np.ndarray  # r x n
 
 
-class TruncatedSVD(NamedTuple):
+class LowRankSVD(NamedTuple):
     U: np.ndarray  # m x k
     S: np.ndarray  # k, nonincreasing
     V: np.ndarray  # n x k
@@ -125,7 +125,7 @@ def tsvd(a, k):
     if not 1 <= k <= r:
         raise ValueError(f"k={k} outside 1..{r}")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    return TruncatedSVD(u[:, :k], s[:k], vt[:k].T)
+    return LowRankSVD(u[:, :k], s[:k], vt[:k].T)
 
 
 def spec_norm(a):

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from . import core, fileio, kernels
 from .errors import IllConditionedSolve
-from .fixedrank import LowRankLU, LowRankSVD, column_pivot_assembly
+from .fixedrank import LowRankLU, LowRankSVD, _validate_rank, column_pivot_assembly
 
 DEFAULT_PANEL = 256
 
@@ -88,17 +88,6 @@ class MatrixMarketColumnStream(_StreamBase):
         return self._a[:, j0:j1]
 
 
-class TransposingRowStream(_StreamBase):
-    """Serves a row-major source by streaming its rows as columns of A^T."""
-
-    def __init__(self, a):
-        self._a = np.ascontiguousarray(a, dtype=np.float64)
-        super().__init__((self._a.shape[1], self._a.shape[0]))
-
-    def _panel(self, j0, j1):
-        return self._a[j0:j1, :].T
-
-
 def stream_sketch(stream, k, seed, panel=DEFAULT_PANEL):
     """One sweep: G row block = panel^T Omega, H += panel @ (G block).
 
@@ -141,9 +130,11 @@ def single_pass_lu(stream, k, seed, q_os=0, panel=DEFAULT_PANEL):
     factors are cut back to k afterwards.  The stream's panels may be dense
     or sparse (see stream_sketch).
 
-    Raises IllPosedPseudoinverse when G is numerically rank-deficient
-    (k above the numerical rank of A).
+    Raises ValueError for k < 1, q_os < 0 or k + q_os above min(m, n),
+    before any column is read, and IllPosedPseudoinverse when G is
+    numerically rank-deficient (k above the numerical rank of A).
     """
+    _validate_rank(stream, k, q_os)
     l = k + q_os
     g, h = stream_sketch(stream, l, seed, panel=panel)
     l1, u1, perm = kernels.plu(h)
@@ -153,8 +144,13 @@ def single_pass_lu(stream, k, seed, q_os=0, panel=DEFAULT_PANEL):
 
 
 def single_pass_lu_rowmajor(a, k, seed, q_os=0, panel=DEFAULT_PANEL):
-    """Single-pass LU for a row-major source: factor A^T, transpose back."""
-    ft = single_pass_lu(TransposingRowStream(a), k, seed, q_os=q_os, panel=panel)
+    """Single-pass LU for a row-major source: factor A^T, transpose back.
+
+    The transpose of a C-ordered A is F-ordered, so its column panels are
+    views of A's rows.
+    """
+    at = DenseColumnStream(np.asarray(a, dtype=np.float64).T)
+    ft = single_pass_lu(at, k, seed, q_os=q_os, panel=panel)
     return LowRankLU(p=ft.q, q=ft.p, L=ft.U.T, U=ft.L.T, rank=ft.rank)
 
 

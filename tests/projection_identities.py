@@ -1,7 +1,9 @@
-"""Dense reference checks of the projection identities behind powerlu_fp.
+"""Dense references shared by the tests: the projection identities behind
+powerlu_fp, principal angles between computed ranges, and an exact-rank
+matrix.
 
-Both evaluate the identities directly on a dense A, so they exist for the
-tests only; the library tracks the residual energy by subtraction.
+The identity checks evaluate both sides directly on a dense A; the library
+tracks the residual energy by subtraction.
 """
 
 import numpy as np
@@ -46,3 +48,38 @@ def projection_decomposition_check(a, v_blocks):
             core.fro_norm(ai - (a - a @ proj)),
         )
     return defect
+
+
+def subspace_angle(x, y):
+    """Largest principal angle (radians) between the column spans of x and y."""
+    qx, _ = np.linalg.qr(x)
+    qy, _ = np.linalg.qr(y)
+    c = qx.T @ qy
+    cos_min = np.linalg.svd(c, compute_uv=False)[-1]
+    if cos_min**2 <= 0.5:
+        return float(np.arccos(np.clip(cos_min, -1.0, 1.0)))
+    # near-aligned spans: the cosine saturates at 1 and loses half the
+    # digits, while the residual sine stays fully accurate
+    sin_max = np.linalg.svd(qy - qx @ c, compute_uv=False)[0]
+    return float(np.arcsin(np.clip(sin_max, -1.0, 1.0)))
+
+
+def range_agreement(f1, f2):
+    """Largest principal angle between the L ranges of two LowRankLU
+    factorizations, each with its row permutation undone."""
+    if f1.L.shape[0] != f2.L.shape[0]:
+        raise ValueError("row dimensions differ")
+    if f1.rank != f2.rank:
+        raise ValueError(f"rank mismatch: {f1.rank} vs {f2.rank}")
+    return subspace_angle(core.apply_inv_row_perm(f1.p, f1.L),
+                          core.apply_inv_row_perm(f2.p, f2.L))
+
+
+def duplicated_rows(m, n, r, seed):
+    """m x n matrix of exact rank r: every row is a bitwise copy of one of r
+    integer rows in 0..255 (so it is also a valid 8-bit image)."""
+    rng = np.random.default_rng(seed)
+    picker = np.zeros((m, r))
+    picker[np.arange(m), rng.integers(0, r, m)] = 1.0
+    palette = rng.integers(0, 256, size=(r, n)).astype(np.float64)
+    return picker @ palette

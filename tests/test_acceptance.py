@@ -13,7 +13,11 @@ import numpy as np
 from rlra import core, fixedprec, fixedrank, kernels, matgen, rangefinder, singlepass
 from rlra.accessors import DenseAccessor, InstrumentedAccessor
 from rlra.cli import CSV_HEADER, main
-from projection_identities import error_indicator_check, projection_decomposition_check
+from projection_identities import (
+    error_indicator_check,
+    projection_decomposition_check,
+    range_agreement,
+)
 
 
 def _criterion(num, name, ok, detail=""):
@@ -78,7 +82,7 @@ def test_criterion_03_shared_seed_ranges_coincide():
     for seed in range(20):
         f1 = fixedrank.randlu(a, 15, q_os=0, p=1, seed=seed)
         f2 = fixedrank.powerlu(a, 15, q_os=0, v=4, seed=seed)
-        worst = max(worst, fixedrank.range_agreement(f1, f2))
+        worst = max(worst, range_agreement(f1, f2))
     _criterion(3, "root ranges agree across the two factorizations",
                worst <= 1e-6, f"largest principal angle {worst:.2e} rad")
 

@@ -8,6 +8,7 @@ import pytest
 
 from rlra import cli, core, fileio, fixedrank, matgen, singlepass
 from rlra.cli import CSV_HEADER, main
+from projection_identities import duplicated_rows
 
 
 def parse_summary(out):
@@ -25,13 +26,7 @@ def gen_file(tmp_path, kind="fast", m=120, n=100, seed=1):
 
 
 def write_rank_r_image(path, m, n, r, seed):
-    # indicator @ integer palette: integer pixels and bitwise-duplicated rows,
-    # so the pixel matrix has exact rank r
-    rng = np.random.default_rng(seed)
-    picker = np.zeros((m, r))
-    picker[np.arange(m), rng.integers(0, r, m)] = 1.0
-    palette = rng.integers(0, 256, size=(r, n)).astype(np.float64)
-    pixels = picker @ palette
+    pixels = duplicated_rows(m, n, r, seed)
     fileio.write_pgm(path, pixels, maxval=255)
     return pixels
 
@@ -211,6 +206,26 @@ def test_adapt_no_restart_exit_3(tmp_path, capsys):
                "--l", "20", "--passes", "4", "--no-restart"])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_adapt_no_restart_is_one_attempt(tmp_path, capsys, monkeypatch):
+    # rank 20 below the default width 90: the one sketch collapses, and with
+    # --no-restart that collapse is the answer
+    path = str(tmp_path / "r20.rlm")
+    fileio.write_rlra(path, duplicated_rows(120, 90, 20, seed=6))
+    loaded = []
+    load = cli._load_accessor
+
+    def keep(p):
+        loaded.append(load(p))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "_load_accessor", keep)
+    rc = main(["adapt", "--in", path, "--tol", "1e-6", "--block", "5",
+               "--passes", "4", "--no-restart"])
+    assert rc == 1
+    assert "rank collapse" in capsys.readouterr().err
+    assert loaded[0].product_count <= 4
 
 
 def test_adapt_restart_widens_until_unsatisfiable(tmp_path, capsys):

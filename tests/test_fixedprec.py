@@ -3,8 +3,12 @@ import pytest
 
 from rlra import core, fixedprec, fixedrank, matgen
 from rlra.accessors import InstrumentedAccessor
-from rlra.errors import NotConverged, Unsatisfiable
-from projection_identities import error_indicator_check, projection_decomposition_check
+from rlra.errors import NotConverged, RankCollapse, Unsatisfiable
+from projection_identities import (
+    duplicated_rows,
+    error_indicator_check,
+    projection_decomposition_check,
+)
 
 
 def unit_cols(weights):
@@ -156,29 +160,84 @@ def test_powerlu_fp_raises_with_partial_outcome():
     assert not exc.value.outcome.converged
 
 
-def test_restart_policy_doubles_and_caps():
+def record_attempts(monkeypatch, acc):
+    """Spy on the driver's attempts: (l, seed, products spent) for each."""
+    attempts = []
+    attempt = fixedprec.powerlu_fp
+
+    def spy(a, params, seed):
+        before = acc.product_count
+        try:
+            return attempt(a, params, seed)
+        finally:
+            attempts.append((params.l, seed, acc.product_count - before))
+
+    monkeypatch.setattr(fixedprec, "powerlu_fp", spy)
+    return attempts
+
+
+def test_restarting_widens_to_the_cap(monkeypatch):
     a, _ = matgen.gen_decay("slow", 120, 120, seed=9)
+    acc = InstrumentedAccessor(a)
+    attempts = record_attempts(monkeypatch, acc)
     params = fixedprec.PrecisionParams(eps=1e-6, b=10, l=20, v=4)
-    out = fixedprec.adaptive_rank(a, params, seed=0)
-    wider = fixedprec.restart_policy(out, params, max_width=115)
-    assert wider.l == 40
-    assert (wider.eps, wider.b, wider.v) == (params.eps, params.b, params.v)
-    # cap is floored to a block multiple: 115 -> 110
-    wider = fixedprec.restart_policy(
-        out, fixedprec.PrecisionParams(1e-6, 10, 80, 4), max_width=115
-    )
-    assert wider.l == 110
-    with pytest.raises(Unsatisfiable):
-        fixedprec.restart_policy(out, fixedprec.PrecisionParams(1e-6, 10, 110, 4),
-                                 max_width=115)
+    fac, out = fixedprec.powerlu_fp_restarting(acc, params, seed=3)
+    # l doubles from 20 until 2 * 80 is cut back to the cap min(m, n) = 120;
+    # every attempt draws a fresh seed and spends exactly v passes
+    assert attempts == [(20, 3, 4), (40, 4, 4), (80, 5, 4), (120, 6, 4)]
+    assert acc.product_count == 16
+    assert out.converged and fac.rank == out.rank
+    assert core.rel_fro_error(a, fixedrank.reconstruct(fac)) <= params.eps
 
 
-def test_restart_policy_rejects_converged():
-    a, _ = matgen.gen_decay("fast", 100, 100, seed=10)
-    out = fixedprec.adaptive_rank(a, fixedprec.PrecisionParams(1e-2, 10, 50, 4), seed=0)
-    assert out.converged
-    with pytest.raises(ValueError):
-        fixedprec.restart_policy(out, fixedprec.PrecisionParams(1e-2, 10, 50, 4), 100)
+def test_restarting_unsatisfiable_at_block_floored_cap(monkeypatch):
+    # the cap floors 85 to a block multiple (80), which leaves five
+    # directions out of reach
+    a, _ = matgen.gen_decay("slow", 85, 85, seed=5)
+    acc = InstrumentedAccessor(a)
+    attempts = record_attempts(monkeypatch, acc)
+    params = fixedprec.PrecisionParams(eps=1e-5, b=10, l=20, v=4)
+    with pytest.raises(Unsatisfiable, match="sketch width 80 already at cap 80"):
+        fixedprec.powerlu_fp_restarting(acc, params, seed=0)
+    assert attempts == [(20, 0, 4), (40, 1, 4), (80, 2, 4)]
+
+
+def test_restarting_narrows_after_collapse(monkeypatch):
+    # exact rank 20 against width 90: the first sketch collapses part way
+    # through its chain, and the rerun at the achieved width converges
+    a = duplicated_rows(120, 90, 20, seed=6)
+    acc = InstrumentedAccessor(a)
+    attempts = record_attempts(monkeypatch, acc)
+    params = fixedprec.PrecisionParams(eps=1e-6, b=5, l=90, v=4)
+    fac, out = fixedprec.powerlu_fp_restarting(acc, params, seed=7)
+    (l0, seed0, spent0), (l1, seed1, spent1) = attempts
+    assert (l0, seed0, l1, seed1) == (90, 7, 20, 8)
+    assert 1 <= spent0 < 4 and spent1 == 4
+    assert acc.product_count == spent0 + spent1
+    assert out.rank == 20
+    assert core.rel_fro_error(a, fixedrank.reconstruct(fac)) <= params.eps
+
+
+def test_restarting_narrowed_width_is_the_new_cap(monkeypatch):
+    # the achieved 20 floors to 18 at b = 6, too narrow for rank 20, and
+    # the search may not widen past the width that collapsed
+    acc = InstrumentedAccessor(duplicated_rows(120, 90, 20, seed=6))
+    attempts = record_attempts(monkeypatch, acc)
+    params = fixedprec.PrecisionParams(eps=1e-6, b=6, l=90, v=4)
+    with pytest.raises(Unsatisfiable, match="sketch width 18 already at cap 18"):
+        fixedprec.powerlu_fp_restarting(acc, params, seed=0)
+    assert [(l, seed) for l, seed, _ in attempts] == [(90, 0), (18, 1)]
+
+
+def test_restarting_reraises_collapse_that_cannot_narrow(monkeypatch):
+    # rank 20 below the block size 25: narrowing stops at one block, which
+    # still collapses
+    acc = InstrumentedAccessor(duplicated_rows(120, 90, 20, seed=6))
+    attempts = record_attempts(monkeypatch, acc)
+    params = fixedprec.PrecisionParams(eps=1e-6, b=25, l=75, v=4)
+    with pytest.raises(RankCollapse):
+        fixedprec.powerlu_fp_restarting(acc, params, seed=0)
+    assert [(l, seed) for l, seed, _ in attempts] == [(75, 0), (25, 1)]
 
 
 def test_width_exceeding_matrix_rejected():

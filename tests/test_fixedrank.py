@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from rlra import core, fixedprec, fixedrank, matgen, rangefinder, singlepass
 from rlra.accessors import DenseAccessor, InstrumentedAccessor
 from rlra.errors import NonFiniteInput, RankCollapse
+from projection_identities import range_agreement
 
 
 def exact_rank_matrix(m, n, r, seed, best=2.0, worst=1.0):
@@ -129,7 +130,7 @@ def test_shared_seed_ranges_agree_odd_pairing():
     for seed in range(5):
         f1 = fixedrank.randlu(a, 15, q_os=0, p=1, seed=seed)
         f2 = fixedrank.powerlu(a, 15, q_os=0, v=3, seed=seed)
-        assert fixedrank.range_agreement(f1, f2) < 1e-8
+        assert range_agreement(f1, f2) < 1e-8
 
 
 def test_range_agreement_extremes():
@@ -141,9 +142,9 @@ def test_range_agreement_extremes():
             p=perm, q=np.arange(2), L=ident[:, cols], U=np.zeros((2, 2)), rank=2
         )
 
-    same = fixedrank.range_agreement(as_lu([0, 1]), as_lu([0, 1]))
+    same = range_agreement(as_lu([0, 1]), as_lu([0, 1]))
     assert same < 1e-12
-    orth = fixedrank.range_agreement(as_lu([0, 1]), as_lu([2, 3]))
+    orth = range_agreement(as_lu([0, 1]), as_lu([2, 3]))
     assert orth == pytest.approx(np.pi / 2, rel=1e-12)
 
 
@@ -151,10 +152,10 @@ def test_range_agreement_rejects_mismatch():
     f = fixedrank.powerlu(core.gaussian(14, 20, 15), 4, q_os=2, v=3, seed=0)
     g = fixedrank.powerlu(core.gaussian(15, 20, 15), 5, q_os=2, v=3, seed=0)
     with pytest.raises(ValueError, match="rank"):
-        fixedrank.range_agreement(f, g)
+        range_agreement(f, g)
     h = fixedrank.powerlu(core.gaussian(16, 25, 15), 4, q_os=2, v=3, seed=0)
     with pytest.raises(ValueError, match="row dim"):
-        fixedrank.range_agreement(f, h)
+        range_agreement(f, h)
 
 
 def test_rank_collapse_propagates_from_sketch():

@@ -4,19 +4,7 @@ import pytest
 from rlra import core, fixedrank, kernels, matgen, rangefinder
 from rlra.accessors import DenseAccessor, InstrumentedAccessor
 from rlra.errors import RankCollapse
-
-
-def subspace_angle(x, y):
-    """Largest principal angle between the column spans (sine-based when
-    small, where the cosine formula runs out of digits)."""
-    qx, _ = np.linalg.qr(x)
-    qy, _ = np.linalg.qr(y)
-    c = qx.T @ qy
-    cos_min = np.linalg.svd(c, compute_uv=False)[-1]
-    if cos_min**2 <= 0.5:
-        return float(np.arccos(np.clip(cos_min, -1.0, 1.0)))
-    sin_max = np.linalg.svd(qy - qx @ c, compute_uv=False)[0]
-    return float(np.arcsin(np.clip(sin_max, -1.0, 1.0)))
+from projection_identities import subspace_angle
 
 
 @pytest.mark.parametrize("p", [0, 1, 2])

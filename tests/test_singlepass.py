@@ -95,6 +95,19 @@ def test_single_pass_lu_rejects_rank_above_numerical_rank():
         singlepass.single_pass_lu(singlepass.DenseColumnStream(a), 8, seed=0)
 
 
+@pytest.mark.parametrize("k,q_os,why", [
+    (0, 5, "target rank"),
+    (-2, 5, "target rank"),
+    (10, -3, "oversampling"),
+    (45, 10, "sketch width 55"),
+])
+def test_single_pass_lu_rejects_bad_rank_before_reading(k, q_os, why):
+    stream = singlepass.DenseColumnStream(core.gaussian(9, 60, 50))
+    with pytest.raises(ValueError, match=why):
+        singlepass.single_pass_lu(stream, k, seed=0, q_os=q_os)
+    assert stream.columns_pulled == 0
+
+
 def test_file_stream_matches_dense(tmp_path):
     a = core.gaussian(11, 50, 37)
     path = str(tmp_path / "a.rlm")
@@ -115,7 +128,7 @@ def test_dense_stream_sketches_agree(tmp_path, m, n, k):
     streams = [
         singlepass.DenseColumnStream(a),
         singlepass.RlraFileColumnStream(path),
-        singlepass.TransposingRowStream(np.ascontiguousarray(a.T)),
+        singlepass.DenseColumnStream(np.ascontiguousarray(a.T).T),
     ]
     (g, h), *others = [singlepass.stream_sketch(s, k, seed=3, panel=64) for s in streams]
     for go, ho in others:
