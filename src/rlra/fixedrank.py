@@ -60,12 +60,14 @@ def randsvd(a, k, q_os=10, p=1, seed=0, truncate=False):
     a = as_accessor(a)
     _validate_rank(a, k, q_os)
     basis = rangefinder.power_basis_q(a, k + q_os, p, seed)
-    b = a.rmatmul(basis.V).T  # = Q^T A, one pass
-    ub, s, vt = np.linalg.svd(b, full_matrices=False)
-    u = basis.V @ ub
+    # B^T = A^T Q in one pass; B^T = Q_B R_B and R_B^T = U_r S V_r^T give
+    # B = U_r S (Q_B V_r)^T from an l x l SVD instead of one of the wide B
+    qb, rb = kernels._tall_qr(a.rmatmul(basis.V))
+    ur, s, vrt = np.linalg.svd(rb.T)
+    vr = vrt.T
     if truncate:
-        return LowRankSVD(u[:, :k], s[:k], vt[:k].T)
-    return LowRankSVD(u, s, vt.T)
+        ur, s, vr = ur[:, :k], s[:k], vr[:, :k]
+    return LowRankSVD(basis.V @ ur, s, qb @ vr)
 
 
 def randlu(a, k, q_os=10, p=1, seed=0):

@@ -34,8 +34,10 @@ def _check_width(diag, requested):
     """Exactly zero pivots mean the sketch has structurally dependent columns.
 
     Benign near-deficiency (tiny but nonzero pivots) passes through: unit
-    lower factors and Householder Q stay full width regardless, so the basis
-    remains usable.
+    lower factors and QR's orthonormal Q stay full width regardless, so the
+    basis remains usable.  An exactly rank-deficient sketch never passes
+    the CholeskyQR2 certificate in kernels._tall_qr, so the zeros of its QR
+    diagonal are Householder's.
     """
     achieved = int(np.count_nonzero(diag))
     if achieved < requested:

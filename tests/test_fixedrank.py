@@ -26,8 +26,10 @@ def test_randsvd_shapes_and_truncation():
     f = fixedrank.randsvd(a, 5, q_os=3, p=1, seed=1)
     assert f.U.shape == (40, 8) and f.S.shape == (8,) and f.V.shape == (30, 8)
     ft = fixedrank.randsvd(a, 5, q_os=3, p=1, seed=1, truncate=True)
-    assert ft.U.shape == (40, 5)
+    assert ft.U.shape == (40, 5) and ft.V.shape == (30, 5)
     assert np.array_equal(ft.S, f.S[:5])
+    assert np.allclose(ft.U, f.U[:, :5], rtol=0, atol=1e-14)
+    assert np.allclose(ft.V, f.V[:, :5], rtol=0, atol=1e-14)
     assert np.all(np.diff(f.S) <= 0)
     assert np.allclose(f.U.T @ f.U, np.eye(8), atol=1e-12)
 

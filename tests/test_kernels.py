@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rlra import backend, core, kernels
-from rlra.errors import IllPosedPseudoinverse
+from rlra import backend, core, kernels, rangefinder
+from rlra.errors import IllPosedPseudoinverse, RankCollapse
 
 
 def test_plu_frozen_2x2():
@@ -120,6 +120,77 @@ def test_eqr_orthonormal():
     q, r = kernels.eqr(core.gaussian(5, 30, 8))
     assert np.allclose(q.T @ q, np.eye(8), atol=1e-13)
     assert np.count_nonzero(np.tril(r, -1)) == 0
+
+
+def _conditioned(seed, m, n, cond):
+    """m x n with singular values logspace(0, -log10(cond), n) and random
+    singular vectors (a column scaling alone would not hurt CholeskyQR)."""
+    u, _ = np.linalg.qr(core.gaussian(seed, m, n))
+    v, _ = np.linalg.qr(core.gaussian(seed + 1, n, n))
+    return (u * np.logspace(0, -np.log10(cond), n)) @ v.T
+
+
+def _rank3(seed, m, n):
+    return np.diag(np.r_[np.ones(3), np.zeros(m - 3)]) @ core.gaussian(seed, m, n)
+
+
+@pytest.mark.parametrize("m,n", [(20000, 40), (2000, 110), (8000, 10)])
+def test_tall_qr_certified_path(monkeypatch, m, n):
+    def refuse(a):
+        raise AssertionError("a well-conditioned sketch fell back to Householder")
+
+    monkeypatch.setattr(kernels, "_householder_qr", refuse)
+    x = core.gaussian(m + n, m, n)
+    q, r = kernels._tall_qr(x)
+    assert q.shape == (m, n) and r.shape == (n, n) and q.flags.c_contiguous
+    assert np.linalg.norm(q.T @ q - np.eye(n)) <= 1e-13
+    assert np.linalg.norm(q @ r - x) <= 1e-14 * np.linalg.norm(x)
+    assert np.count_nonzero(np.tril(r, -1)) == 0
+    assert np.all(np.diag(r) > 0)
+
+
+FALLBACK = [
+    pytest.param(lambda: _conditioned(1, 2000, 110, 1e12), id="cond-1e12"),
+    pytest.param(lambda: _rank3(2, 300, 20), id="rank-3"),
+    pytest.param(lambda: 1e160 * core.gaussian(3, 2000, 110), id="gram-overflows"),
+    pytest.param(lambda: 1e-170 * core.gaussian(4, 2000, 110), id="gram-underflows"),
+]
+
+
+@pytest.mark.parametrize("make", FALLBACK)
+def test_tall_qr_falls_back_to_householder(make):
+    x = make()
+    q, r = kernels._tall_qr(x)
+    expected = kernels._householder_qr(x)
+    assert np.array_equal(q, expected.Q) and np.array_equal(r, expected.R)
+
+
+def test_tall_qr_certificate_rejects_a_successful_cholesky():
+    # cond 3e8: the first Cholesky succeeds, but Q1 is too far from
+    # orthonormal for the second sweep to be trusted
+    x = _conditioned(0, 2000, 110, 3e8)
+    first = kernels._chol_inv(x.T @ x)
+    assert first is not None
+    q1 = x @ first[1]
+    assert np.linalg.norm(q1.T @ q1 - np.eye(110)) > kernels.CHOLQR_CERTIFICATE
+    q, r = kernels._tall_qr(x)
+    expected = kernels._householder_qr(x)
+    assert np.array_equal(q, expected.Q) and np.array_equal(r, expected.R)
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_rank_deficient_sketch_collapses_to_its_rank(p):
+    with pytest.raises(RankCollapse) as exc:
+        rangefinder.power_basis_q(_rank3(5, 40, 30), 8, p, seed=0)
+    assert exc.value.achieved == 3
+
+
+@pytest.mark.parametrize("make", [lambda: _rank3(6, 50, 8),
+                                  lambda: _conditioned(7, 50, 8, 1e13)],
+                         ids=["rank-3", "cond-1e13"])
+def test_pinv_factor_rejects_deficient_sketch(make):
+    with pytest.raises(IllPosedPseudoinverse):
+        kernels.pinv_factor(make())
 
 
 def test_pinv_factor_rejects_wide():

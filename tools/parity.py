@@ -14,8 +14,11 @@ BLAS is pinned to one thread, so a dump is reproducible.  The benchmark
 shapes take about a minute and 1 GB.
 
 `compare` prints, per driver and per matrix, how many arrays differ and the
-worst relative Frobenius difference among the floating-point ones; it exits
-1 when any array differs.
+worst relative Frobenius difference among the floating-point ones, plain
+and up to column signs; it exits 1 when any array differs.  Singular
+vectors and QR bases are unique only up to the sign of each column, so two
+correct runs whose QRs differ in method (Householder against CholeskyQR2)
+differ by about sqrt(2) plain and by rounding up to signs.
 """
 
 import os
@@ -136,15 +139,24 @@ def dump(src, out):
     return 0
 
 
-def difference(x, y):
+def difference(x, y, signs=False):
     """None when equal; else the relative Frobenius difference of two float
-    arrays of one shape, or nan for any other kind of mismatch."""
+    arrays of one shape, or nan for any other kind of mismatch.  With signs,
+    each column of a 2-d y is first flipped to the sign of its dot product
+    with the same column of x."""
     if x.shape == y.shape and x.dtype == y.dtype and np.array_equal(x, y, equal_nan=x.dtype.kind == "f"):
         return None
     if x.shape != y.shape or x.dtype.kind != "f" or y.dtype.kind != "f":
         return float("nan")
+    if signs and y.ndim == 2:
+        y = y * np.where(np.sum(x * y, axis=0) < 0, -1.0, 1.0)
     scale = np.linalg.norm(x)
     return float(np.linalg.norm(x - y) / scale) if scale > 0 else float("inf")
+
+
+def worst(diffs):
+    numeric = [d for d in diffs if d is not None and not np.isnan(d)]
+    return f"{max(numeric):.3g}" if numeric else "-"
 
 
 def compare(before, after):
@@ -153,19 +165,23 @@ def compare(before, after):
     groups = {"driver": defaultdict(list), "matrix": defaultdict(list)}
     for key in sorted(set(x) | set(y)):
         driver, matrix = key.split("|")[:2]
-        d = difference(x[key], y[key]) if key in x and key in y else float("nan")
+        if key in x and key in y:
+            d = (difference(x[key], y[key]), difference(x[key], y[key], signs=True))
+        else:
+            d = (float("nan"), float("nan"))
         groups["driver"][driver].append(d)
         groups["matrix"][matrix.split("/")[0]].append(d)
     any_diff = False
     for by, table in groups.items():
-        print(f"{by:<20} {'arrays':>7} {'differ':>7} {'worst rel diff':>15}")
-        for name, diffs in table.items():
-            differing = [d for d in diffs if d is not None]
-            numeric = [d for d in differing if not np.isnan(d)]
-            worst = f"{max(numeric):.3g}" if numeric else "-"
-            other = len(differing) - len(numeric)
+        print(f"{by:<20} {'arrays':>7} {'differ':>7} {'worst rel diff':>15} "
+              f"{'worst rel diff up to column signs':>34}")
+        for name, pairs in table.items():
+            plain, signed = zip(*pairs)
+            differing = [d for d in plain if d is not None]
+            other = sum(np.isnan(d) for d in differing)
             note = f"  ({other} not comparable: permutation, rank, error text or missing)" if other else ""
-            print(f"{name:<20} {len(diffs):>7} {len(differing):>7} {worst:>15}{note}")
+            print(f"{name:<20} {len(plain):>7} {len(differing):>7} {worst(plain):>15} "
+                  f"{worst(signed):>34}{note}")
             any_diff |= bool(differing)
         print()
     return 1 if any_diff else 0
