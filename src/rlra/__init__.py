@@ -1,7 +1,7 @@
 """Randomized low-rank matrix factorizations with strict pass budgets.
 
 Fixed-rank drivers (randsvd, randlu, powerlu), a fixed-precision driver with
-blocked adaptive rank search (powerlu_fp; powerlu_fp_restarting retries it
+adaptive rank search (powerlu_fp; powerlu_fp_restarting retries it
 with a wider or narrower sketch), and a single-pass LU for streamed
 matrices.  The pivoted-LU elimination runs on LAPACK getrf, with an exact
 unblocked elimination for sketches with dependent columns (rlra.backend).
@@ -35,7 +35,7 @@ from .fixedrank import (
     randsvd,
     reconstruct,
 )
-from .kernels import eqr, plu, spec_norm, tsvd
+from .kernels import eqr, plu, tsvd
 from .matgen import gen_decay, gen_sparse, oracle_error
 from .rangefinder import general_power_basis_v, power_basis_lu_l, power_basis_q
 from .singlepass import (
@@ -94,7 +94,6 @@ __all__ = [
     "single_pass_baseline_2011",
     "single_pass_lu",
     "single_pass_lu_rowmajor",
-    "spec_norm",
     "stream_sketch",
     "tsvd",
 ]

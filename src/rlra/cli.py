@@ -77,7 +77,8 @@ def build_parser():
     a = sub.add_parser("adapt", help="fixed-precision factorization")
     a.add_argument("--in", dest="infile", required=True)
     a.add_argument("--tol", type=float, required=True)
-    a.add_argument("--block", type=int, default=10)
+    a.add_argument("--block", type=int, default=10,
+                   help="block size; sets the default sketch width, 50 blocks")
     a.add_argument("--l", type=int, help="sketch width (default min(50*block, min(m,n)))")
     a.add_argument("--passes", type=int, default=4)
     a.add_argument("--no-restart", action="store_true",
@@ -100,7 +101,8 @@ def build_parser():
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--out", required=True)
     c.add_argument("--tol", type=float, required=True)
-    c.add_argument("--block", type=int, default=10)
+    c.add_argument("--block", type=int, default=10,
+                   help="block size; sets the default sketch width, 50 blocks")
     c.add_argument("--l", type=int)
     c.add_argument("--passes", type=int, default=4)
     c.add_argument("--seed", type=int, default=0)
@@ -225,11 +227,17 @@ def cmd_factor(args):
     return 0
 
 
+def _precision_params(args, m, n):
+    """PrecisionParams from --tol/--block/--l/--passes; --l defaults to
+    default_width."""
+    width = args.l if args.l is not None else fixedprec.default_width(args.block, m, n)
+    return fixedprec.PrecisionParams(eps=args.tol, b=args.block, l=width, v=args.passes)
+
+
 def cmd_adapt(args):
     acc = _load_accessor(args.infile)
     m, n = acc.shape
-    width = args.l if args.l is not None else fixedprec.default_width(args.block, m, n)
-    params = fixedprec.PrecisionParams(eps=args.tol, b=args.block, l=width, v=args.passes)
+    params = _precision_params(args, m, n)
     started = time.perf_counter()
     driver = fixedprec.powerlu_fp if args.no_restart else fixedprec.powerlu_fp_restarting
     fac, outcome = driver(acc, params, args.seed)
@@ -341,8 +349,7 @@ def cmd_compress(args):
     pixels, maxval = fileio.read_pgm(args.infile)
     m, n = pixels.shape
     acc = InstrumentedAccessor(pixels)
-    width = args.l if args.l is not None else fixedprec.default_width(args.block, m, n)
-    params = fixedprec.PrecisionParams(eps=args.tol, b=args.block, l=width, v=args.passes)
+    params = _precision_params(args, m, n)
     fac, outcome = fixedprec.powerlu_fp_restarting(acc, params, args.seed)
     recon = fixedrank.reconstruct(fac)
     fileio.write_pgm(args.out, recon, maxval=maxval)

@@ -1,18 +1,21 @@
-"""Fixed-precision driver: blocked adaptive rank determination and the
-LU factorization built on it.
+"""Fixed-precision driver: adaptive rank determination and the LU
+factorization built on it.
 
 The residual energy E = ||A||_F^2 - sum_j ||A v_j||_F^2 is tracked by
 subtraction only; A is never updated or copied, and the whole search costs
-exactly v passes.  Once the stopping block is found, the rank is refined
-column by column inside it.  powerlu_fp_restarting reruns the search with a
-wider or narrower sketch until it converges.
+exactly v passes.  G = A V is formed whole in one pass, so the rank comes
+from one scan over its column energies.  The block size b of the paper's
+blocked search only sets the default sketch width (default_width, 50
+blocks): the scan returns the same rank, V and G for every b.
+powerlu_fp_restarting reruns the search with a wider or narrower sketch
+until it converges.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import core, fixedrank, rangefinder
+from . import fixedrank, rangefinder
 from .accessors import as_accessor
 from .errors import NotConverged, RankCollapse, Unsatisfiable
 
@@ -34,8 +37,13 @@ EPS_FLOOR = float(np.sqrt(np.finfo(np.float64).eps))
 
 @dataclass(frozen=True)
 class PrecisionParams:
-    """Tolerance eps in [EPS_FLOOR, 1], block size b, sketch width l (a
-    multiple of b), passes v."""
+    """Tolerance eps in [EPS_FLOOR, 1], block size b, sketch width l,
+    passes v.
+
+    b does not shape the search.  It is the unit of default_width's l (50
+    blocks), and stays a field so that params built positionally keep
+    their meaning.
+    """
 
     eps: float
     b: int
@@ -52,29 +60,25 @@ class PrecisionParams:
             )
         if self.b < 1:
             raise ValueError("block size must be >= 1")
-        if self.l < self.b or self.l % self.b:
-            raise ValueError(f"sketch width {self.l} is not a positive multiple of {self.b}")
+        if self.l < 1:
+            raise ValueError(f"sketch width {self.l} is not positive")
         if self.v < 2:
             raise ValueError("pass budget v must be >= 2")
 
 
 def default_width(b, m, n):
-    """Default sketch width: 50 blocks, floored to a multiple of b within min(m, n)."""
-    w = min(50 * b, min(m, n))
-    w -= w % b
-    if w < b:
+    """Default sketch width: 50 blocks of b, at most min(m, n)."""
+    if b > min(m, n):
         raise ValueError(f"block size {b} exceeds min{(m, n)}")
-    return w
+    return min(50 * b, min(m, n))
 
 
 def adaptive_rank(a, params, seed):
     """Find the rank where the projection residual drops below eps * ||A||_F.
 
     Builds the basis with v - 1 passes, spends one pass on G = A V, then
-    scans G block by block, decrementing E by each block's squared norm.
-    The first block that sends E to or below eps^2 ||A||_F^2 is refined per
-    column.  Never converging within width l returns the full outcome with
-    converged=False.
+    scans the columns of G (refine_rank).  Never converging within width l
+    returns the full outcome with converged=False.
     """
     a = as_accessor(a)
     m, n = a.shape
@@ -84,43 +88,28 @@ def adaptive_rank(a, params, seed):
     g = a.matmul(basis.V)
     total = a.fro_norm() ** 2
     acc = params.eps**2 * total
-    e = total
-    for t1 in range(0, params.l, params.b):
-        block = g[:, t1 : t1 + params.b]
-        e_before = e
-        e -= core.fro_norm(block) ** 2
-        if e <= acc:
-            rank, e_out = refine_rank(g, e_before, acc, t1, params.b)
-            return AdaptiveOutcome(
-                rank=rank,
-                V=basis.V[:, :rank],
-                G=g[:, :rank],
-                residual_energy=max(e_out, 0.0),
-                converged=True,
-            )
+    rank, e = refine_rank(g, total, acc)
     return AdaptiveOutcome(
-        rank=params.l,
-        V=basis.V,
-        G=g,
+        rank=rank,
+        V=basis.V[:, :rank],
+        G=g[:, :rank],
         residual_energy=max(e, 0.0),
-        converged=False,
+        converged=e <= acc,
     )
 
 
-def refine_rank(g, e_in, acc, block_start, b):
-    """Per-column refinement inside the stopping block.
+def refine_rank(g, total, acc):
+    """Scan the columns of g: subtract their energies from total, in order,
+    until the running energy reaches acc.
 
-    e_in is the energy before the block; columns are consumed starting at
-    0-based index block_start until the running energy reaches acc.  Returns
-    (rank, energy) where rank counts all columns through the last consumed.
+    Returns (rank, energy): rank counts the columns consumed, all of them
+    when the energy stays above acc.
     """
-    e = e_in
-    for j in range(b):
-        col = g[:, block_start + j]
-        e -= float(col @ col)
-        if e <= acc:
-            return block_start + j + 1, e
-    return block_start + b, e
+    energies = np.einsum("ij,ij->j", g, g)
+    running = np.subtract.accumulate(np.concatenate(([total], energies)))[1:]
+    hits = np.flatnonzero(running <= acc)
+    rank = int(hits[0]) + 1 if hits.size else g.shape[1]
+    return rank, float(running[rank - 1])
 
 
 def powerlu_fp(a, params, seed):
@@ -141,17 +130,15 @@ def powerlu_fp_restarting(a, params, seed):
     """powerlu_fp, rerun until it converges: widen on NotConverged, narrow
     on RankCollapse.
 
-    Not converged: l doubles, capped at min(m, n) floored to a multiple of
-    b; Unsatisfiable once l is at the cap.  Sketch collapse (A has rank
-    below l): l narrows to the achieved width floored to b (at least b),
-    which also becomes the cap, since wider sketches would collapse again;
-    the collapse is re-raised when that does not shrink l.  Rerun i draws
-    with seed + i, a fresh basis rather than a grown one.  Every attempt
-    spends up to v passes.  Returns (LowRankLU, AdaptiveOutcome).
+    Not converged: l doubles, capped at min(m, n); Unsatisfiable once l is
+    at the cap.  Sketch collapse (A has rank below l): l narrows to the
+    achieved width, which also becomes the cap, since wider sketches would
+    collapse again; a collapse to no usable column is re-raised.  Rerun i
+    draws with seed + i, a fresh basis rather than a grown one.  Every
+    attempt spends up to v passes.  Returns (LowRankLU, AdaptiveOutcome).
     """
     a = as_accessor(a)
     cap = min(a.shape)
-    cap -= cap % params.b
     while True:
         try:
             return powerlu_fp(a, params, seed)
@@ -162,8 +149,8 @@ def powerlu_fp_restarting(a, params, seed):
                 )
             params = replace(params, l=min(2 * params.l, cap))
         except RankCollapse as exc:
-            cap = max(params.b, exc.achieved - exc.achieved % params.b)
-            if cap >= params.l:
+            if exc.achieved == 0:
                 raise
+            cap = exc.achieved
             params = replace(params, l=cap)
         seed += 1

@@ -178,8 +178,3 @@ def tsvd(a, k):
         raise ValueError(f"k={k} outside 1..{r}")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     return LowRankSVD(u[:, :k], s[:k], vt[:k].T)
-
-
-def spec_norm(a):
-    """Largest singular value."""
-    return float(tsvd(a, 1).S[0])

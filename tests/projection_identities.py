@@ -1,6 +1,6 @@
 """Dense references shared by the tests: the projection identities behind
-powerlu_fp, principal angles between computed ranges, and an exact-rank
-matrix.
+powerlu_fp, principal angles between computed ranges, the spectral norm,
+an exact-rank matrix, and an accessor that overstates its norm.
 
 The identity checks evaluate both sides directly on a dense A; the library
 tracks the residual energy by subtraction.
@@ -8,7 +8,8 @@ tracks the residual energy by subtraction.
 
 import numpy as np
 
-from rlra import core
+from rlra import core, kernels
+from rlra.accessors import InstrumentedAccessor
 
 
 def error_indicator_check(a, v):
@@ -75,6 +76,11 @@ def range_agreement(f1, f2):
                           core.apply_inv_row_perm(f2.p, f2.L))
 
 
+def spec_norm(a):
+    """Largest singular value."""
+    return float(kernels.tsvd(a, 1).S[0])
+
+
 def duplicated_rows(m, n, r, seed):
     """m x n matrix of exact rank r: every row is a bitwise copy of one of r
     integer rows in 0..255 (so it is also a valid 8-bit image)."""
@@ -83,3 +89,10 @@ def duplicated_rows(m, n, r, seed):
     picker[np.arange(m), rng.integers(0, r, m)] = 1.0
     palette = rng.integers(0, 256, size=(r, n)).astype(np.float64)
     return picker @ palette
+
+
+class OverstatedNorm(InstrumentedAccessor):
+    """Reports twice the true Frobenius norm, so no width can converge."""
+
+    def fro_norm(self):
+        return 2.0 * super().fro_norm()

@@ -8,7 +8,7 @@ import pytest
 
 from rlra import cli, core, fileio, fixedrank, matgen, singlepass
 from rlra.cli import CSV_HEADER, main
-from projection_identities import duplicated_rows
+from projection_identities import OverstatedNorm, duplicated_rows
 
 
 def parse_summary(out):
@@ -228,14 +228,26 @@ def test_adapt_no_restart_is_one_attempt(tmp_path, capsys, monkeypatch):
     assert loaded[0].product_count <= 4
 
 
-def test_adapt_restart_widens_until_unsatisfiable(tmp_path, capsys):
-    # width cap floors 85 to a block multiple (80), so five directions stay
-    # out of reach and the restart schedule must give up
+def test_adapt_restart_converges_at_full_width(tmp_path, capsys):
+    # the width doubles 20 -> 40 -> 80, then stops at min(m, n) = 85, where
+    # the search converges: four attempts of four passes each
     path = gen_file(tmp_path, "slow", 85, 85, seed=5)
     rc = main(["adapt", "--in", path, "--tol", "1e-5", "--block", "10",
                "--l", "20", "--passes", "4"])
+    assert rc == 0
+    info = parse_summary(capsys.readouterr().out.strip())
+    assert info["converged"] == "true"
+    assert info["passes"] == "16"
+    assert float(info["rel_err"]) <= 1e-5
+
+
+def test_adapt_restart_widens_until_unsatisfiable(tmp_path, capsys, monkeypatch):
+    path = gen_file(tmp_path, "slow", 85, 85, seed=5)
+    monkeypatch.setattr(cli, "_load_accessor", lambda p: OverstatedNorm(fileio.read_rlra(p)))
+    rc = main(["adapt", "--in", path, "--tol", "1e-5", "--block", "10",
+               "--l", "20", "--passes", "4"])
     assert rc == 4
-    assert "error:" in capsys.readouterr().err
+    assert "sketch width 85 already at cap 85" in capsys.readouterr().err
 
 
 def test_adapt_rejects_eps_below_floor(tmp_path, capsys):

@@ -5,9 +5,11 @@ from rlra import core, fixedprec, fixedrank, matgen
 from rlra.accessors import InstrumentedAccessor
 from rlra.errors import NotConverged, RankCollapse, Unsatisfiable
 from projection_identities import (
+    OverstatedNorm,
     duplicated_rows,
     error_indicator_check,
     projection_decomposition_check,
+    spec_norm,
 )
 
 
@@ -23,11 +25,13 @@ def test_params_validation():
     good = fixedprec.PrecisionParams(eps=1e-3, b=5, l=20, v=4)
     assert good.l == 20
     fixedprec.PrecisionParams(eps=1.0, b=1, l=1, v=2)  # boundaries are legal
+    # b does not constrain l: any positive width is legal
+    assert fixedprec.PrecisionParams(1e-3, 6, 20, 4).l == 20
+    assert fixedprec.PrecisionParams(1e-3, 25, 20, 4).l == 20
     for bad in (
         dict(eps=0.0, b=5, l=20, v=4),
         dict(eps=1.5, b=5, l=20, v=4),
         dict(eps=1e-3, b=0, l=20, v=4),
-        dict(eps=1e-3, b=5, l=18, v=4),  # not a multiple of b
         dict(eps=1e-3, b=5, l=0, v=4),
         dict(eps=1e-3, b=5, l=20, v=1),
     ):
@@ -53,8 +57,9 @@ def test_powerlu_fp_converges_above_floor():
 
 def test_default_width():
     assert fixedprec.default_width(10, 500, 1000) == 500
-    assert fixedprec.default_width(7, 100, 50) == 49
+    assert fixedprec.default_width(7, 100, 50) == 50
     assert fixedprec.default_width(1, 2000, 2000) == 50
+    assert fixedprec.default_width(50, 50, 50) == 50
     with pytest.raises(ValueError):
         fixedprec.default_width(60, 50, 50)
 
@@ -62,18 +67,32 @@ def test_default_width():
 def test_refine_rank_frozen():
     g = unit_cols([4.0, 3.0, 2.0, 1.0])
     # energy 10, target 3.5: two columns bring it to 3 (up to squaring noise)
-    rank, e = fixedprec.refine_rank(g, 10.0, 3.5, 0, 4)
+    rank, e = fixedprec.refine_rank(g, 10.0, 3.5)
     assert rank == 2 and e == pytest.approx(3.0, abs=1e-13)
-    # target below what the block delivers: consume all b columns
-    rank, e = fixedprec.refine_rank(g, 10.0, -1.0, 0, 4)
+    # target below what the columns deliver: consume them all
+    rank, e = fixedprec.refine_rank(g, 10.0, -1.0)
     assert rank == 4 and e == pytest.approx(0.0, abs=1e-13)
 
 
 def test_refine_rank_offset_block():
     g = unit_cols([5.0, 3.0, 0.0, 0.0, 2.0, 1.0, 0.0, 0.0])
-    # block at columns 4..5, entering energy 4, target 1.5
-    rank, e = fixedprec.refine_rank(g, 4.0, 1.5, 4, 2)
+    # energy 12, target 1.5: the zero columns 2..3 hold the energy at 4,
+    # and the scan stops at column 5 with 1 left
+    rank, e = fixedprec.refine_rank(g, 12.0, 1.5)
     assert rank == 6 and e == pytest.approx(1.0, abs=1e-13)
+
+
+def test_block_size_does_not_shape_the_search():
+    a, _ = matgen.gen_decay("fast", 150, 120, seed=10)
+    eps, l, v = 1e-3, 60, 4
+    outs = [fixedprec.adaptive_rank(a, fixedprec.PrecisionParams(eps, b, l, v), seed=2)
+            for b in (1, 3, 7, l)]
+    assert outs[0].converged and 1 < outs[0].rank < l
+    for out in outs[1:]:
+        assert out.rank == outs[0].rank
+        assert np.array_equal(out.V, outs[0].V)
+        assert np.array_equal(out.G, outs[0].G)
+        assert out.residual_energy == outs[0].residual_energy
 
 
 def test_adaptive_rank_invariants():
@@ -134,6 +153,11 @@ def test_error_indicator_identity_and_guard():
         error_indicator_check(a, core.gaussian_from(rng, 25, 6))
 
 
+def test_spec_norm_matches_numpy():
+    a = core.gaussian(11, 15, 10)
+    assert spec_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+
+
 def test_projection_decomposition_defect_small():
     rng = np.random.default_rng(6)
     a = core.gaussian_from(rng, 40, 40)
@@ -190,16 +214,27 @@ def test_restarting_widens_to_the_cap(monkeypatch):
     assert core.rel_fro_error(a, fixedrank.reconstruct(fac)) <= params.eps
 
 
-def test_restarting_unsatisfiable_at_block_floored_cap(monkeypatch):
-    # the cap floors 85 to a block multiple (80), which leaves five
-    # directions out of reach
+def test_restarting_converges_at_unfloored_cap(monkeypatch):
+    # the width doubles 20 -> 40 -> 80, then stops at the cap min(m, n) =
+    # 85, whatever the block size
     a, _ = matgen.gen_decay("slow", 85, 85, seed=5)
     acc = InstrumentedAccessor(a)
     attempts = record_attempts(monkeypatch, acc)
     params = fixedprec.PrecisionParams(eps=1e-5, b=10, l=20, v=4)
-    with pytest.raises(Unsatisfiable, match="sketch width 80 already at cap 80"):
+    fac, out = fixedprec.powerlu_fp_restarting(acc, params, seed=0)
+    assert attempts == [(20, 0, 4), (40, 1, 4), (80, 2, 4), (85, 3, 4)]
+    assert out.converged and out.rank == 85
+    assert core.rel_fro_error(a, fixedrank.reconstruct(fac)) <= params.eps
+
+
+def test_restarting_unsatisfiable_at_cap(monkeypatch):
+    a, _ = matgen.gen_decay("slow", 85, 85, seed=5)
+    acc = OverstatedNorm(a)
+    attempts = record_attempts(monkeypatch, acc)
+    params = fixedprec.PrecisionParams(eps=1e-5, b=10, l=20, v=4)
+    with pytest.raises(Unsatisfiable, match="sketch width 85 already at cap 85"):
         fixedprec.powerlu_fp_restarting(acc, params, seed=0)
-    assert attempts == [(20, 0, 4), (40, 1, 4), (80, 2, 4)]
+    assert attempts == [(20, 0, 4), (40, 1, 4), (80, 2, 4), (85, 3, 4)]
 
 
 def test_restarting_narrows_after_collapse(monkeypatch):
@@ -218,26 +253,33 @@ def test_restarting_narrows_after_collapse(monkeypatch):
     assert core.rel_fro_error(a, fixedrank.reconstruct(fac)) <= params.eps
 
 
-def test_restarting_narrowed_width_is_the_new_cap(monkeypatch):
-    # the achieved 20 floors to 18 at b = 6, too narrow for rank 20, and
-    # the search may not widen past the width that collapsed
-    acc = InstrumentedAccessor(duplicated_rows(120, 90, 20, seed=6))
+@pytest.mark.parametrize("r, b, l", [
+    (3, 5, 20), (3, 10, 50), (7, 5, 20), (7, 10, 50), (20, 6, 90), (20, 25, 75),
+])
+def test_restarting_exact_rank_converges(monkeypatch, r, b, l):
+    # exact rank r below l, whatever its relation to b: each collapse
+    # narrows to the achieved width until the sketch fits the rank
+    a = duplicated_rows(120, 90, r, seed=6)
+    acc = InstrumentedAccessor(a)
     attempts = record_attempts(monkeypatch, acc)
-    params = fixedprec.PrecisionParams(eps=1e-6, b=6, l=90, v=4)
-    with pytest.raises(Unsatisfiable, match="sketch width 18 already at cap 18"):
-        fixedprec.powerlu_fp_restarting(acc, params, seed=0)
-    assert [(l, seed) for l, seed, _ in attempts] == [(90, 0), (18, 1)]
+    params = fixedprec.PrecisionParams(eps=1e-6, b=b, l=l, v=4)
+    fac, out = fixedprec.powerlu_fp_restarting(acc, params, seed=0)
+    assert out.converged and out.rank == r
+    assert core.rel_fro_error(a, fixedrank.reconstruct(fac)) <= params.eps
+    widths = [w for w, _, _ in attempts]
+    assert widths[0] == l and all(x > y for x, y in zip(widths, widths[1:]))
+    assert all(spent < params.v for _, _, spent in attempts[:-1])
+    assert [s for _, s, _ in attempts] == list(range(len(attempts)))
 
 
-def test_restarting_reraises_collapse_that_cannot_narrow(monkeypatch):
-    # rank 20 below the block size 25: narrowing stops at one block, which
-    # still collapses
-    acc = InstrumentedAccessor(duplicated_rows(120, 90, 20, seed=6))
+def test_restarting_reraises_collapse_to_nothing(monkeypatch):
+    acc = InstrumentedAccessor(np.zeros((30, 20)))
     attempts = record_attempts(monkeypatch, acc)
-    params = fixedprec.PrecisionParams(eps=1e-6, b=25, l=75, v=4)
-    with pytest.raises(RankCollapse):
+    params = fixedprec.PrecisionParams(eps=1e-5, b=10, l=20, v=4)
+    with pytest.raises(RankCollapse) as exc:
         fixedprec.powerlu_fp_restarting(acc, params, seed=0)
-    assert [(l, seed) for l, seed, _ in attempts] == [(75, 0), (25, 1)]
+    assert (exc.value.achieved, exc.value.requested) == (0, 20)
+    assert attempts == [(20, 0, 1)]
 
 
 def test_width_exceeding_matrix_rejected():

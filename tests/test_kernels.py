@@ -241,8 +241,3 @@ def test_tsvd_rejects_bad_rank():
         kernels.tsvd(np.eye(4), 5)
     with pytest.raises(ValueError):
         kernels.tsvd(np.eye(4), 0)
-
-
-def test_spec_norm_matches_numpy():
-    a = core.gaussian(11, 15, 10)
-    assert kernels.spec_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
