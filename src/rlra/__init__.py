@@ -11,7 +11,6 @@ from .accessors import DenseAccessor, InstrumentedAccessor, SparseAccessor, as_a
 from .backend import BACKEND
 from .core import apply_col_perm, apply_row_perm, fro_norm, gaussian, rel_fro_error
 from .errors import (
-    IllConditionedSolve,
     IllPosedPseudoinverse,
     NonFiniteInput,
     NotConverged,
@@ -42,7 +41,6 @@ from .singlepass import (
     DenseColumnStream,
     MatrixMarketColumnStream,
     RlraFileColumnStream,
-    single_pass_baseline_2011,
     single_pass_lu,
     single_pass_lu_rowmajor,
     stream_sketch,
@@ -55,7 +53,6 @@ __all__ = [
     "AdaptiveOutcome",
     "DenseAccessor",
     "DenseColumnStream",
-    "IllConditionedSolve",
     "IllPosedPseudoinverse",
     "InstrumentedAccessor",
     "LowRankLU",
@@ -91,7 +88,6 @@ __all__ = [
     "randsvd",
     "reconstruct",
     "rel_fro_error",
-    "single_pass_baseline_2011",
     "single_pass_lu",
     "single_pass_lu_rowmajor",
     "stream_sketch",

@@ -67,8 +67,8 @@ def build_parser():
                             "singlepass"])
     f.add_argument("--rank", type=int, required=True)
     f.add_argument("--oversample", type=int, default=10)
-    f.add_argument("--passes", type=int, help="pass budget v (v >= 2)")
-    f.add_argument("--power", type=int, help="power exponent p (v = 2p + 2)")
+    f.add_argument("--passes", type=int,
+                   help="pass budget v >= 2, even for the exponent drivers (p = (v - 2) / 2)")
     f.add_argument("--panel", type=int, default=singlepass.DEFAULT_PANEL)
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--out-prefix", dest="prefix")
@@ -125,32 +125,57 @@ def cmd_gen(args):
     return 0
 
 
-def _load_accessor(path):
-    if path.endswith((".mtx", ".mm")):
-        return InstrumentedAccessor(fileio.read_mm(path))
-    return InstrumentedAccessor(fileio.read_rlra(path))
+def _load_accessor(path, stream=False):
+    """An instrumented accessor on a .mtx/.mm or .rlm file; with stream, a
+    single-use column stream over it instead."""
+    mm = path.endswith((".mtx", ".mm"))
+    if stream:
+        return (singlepass.MatrixMarketColumnStream if mm
+                else singlepass.RlraFileColumnStream)(path)
+    return InstrumentedAccessor(fileio.read_mm(path) if mm else fileio.read_rlra(path))
 
 
-def _resolve_budget(parser_error, alg, passes, power):
-    """Map the --passes/--power pair to what the algorithm needs."""
-    if passes is not None and power is not None:
-        parser_error("give exactly one of --passes or --power")
+def _exponent(v):
+    """Power exponent p of an even pass budget v = 2p + 2."""
+    return (v - 2) // 2
+
+
+# the fixed-rank drivers by --alg name, each called as (a, k, q_os, v, seed);
+# randsvd is cut back to the k triplets its rank-k rows report
+FIXED_RANK = {
+    "powerlu": lambda a, k, q_os, v, seed: fixedrank.powerlu(a, k, q_os, v, seed),
+    "randlu": lambda a, k, q_os, v, seed: fixedrank.randlu(a, k, q_os, _exponent(v), seed),
+    "randlu-noreorth": lambda a, k, q_os, v, seed: fixedrank.randlu_noreorth(
+        a, k, q_os, _exponent(v), seed),
+    "randsvd": lambda a, k, q_os, v, seed: fixedrank.randsvd(
+        a, k, q_os, _exponent(v), seed, truncate=True),
+}
+
+
+def _run(alg, source, k, q_os, v, seed, panel=singlepass.DEFAULT_PANEL):
+    """One timed driver call: source is a column stream for singlepass and a
+    matrix or accessor otherwise.  Returns the factors and the wall ms."""
+    started = time.perf_counter()
     if alg == "singlepass":
-        if passes is not None or power is not None:
+        fac = singlepass.single_pass_lu(source, k, seed, panel=panel)
+    else:
+        fac = FIXED_RANK[alg](source, k, q_os, v, seed)
+    return fac, 1e3 * (time.perf_counter() - started)
+
+
+def _resolve_budget(parser_error, alg, passes):
+    """The pass budget v for alg from --passes; None for singlepass."""
+    if alg == "singlepass":
+        if passes is not None:
             parser_error("singlepass reads the matrix once; no pass budget applies")
-        return None, None
+        return None
     if alg == "powerlu":
-        if power is not None:
-            return 2 * power + 2, power
-        return (passes if passes is not None else 3), None
-    # exponent algorithms: randsvd, randlu, randlu-noreorth
-    if power is not None:
-        return 2 * power + 2, power
+        return passes if passes is not None else 3
     if passes is None:
-        return 4, 1
+        return 4
     if passes < 2 or passes % 2:
         parser_error(f"--passes {passes} has no exponent equivalent; use even v >= 2")
-    return passes, (passes - 2) // 2
+    return passes
 
 
 def _write_lu(prefix, f):
@@ -179,50 +204,26 @@ def _report_error(dense, fac):
 
 
 def cmd_factor(args):
-    v, p = _resolve_budget(args.parser.error, args.alg, args.passes, args.power)
-    started = time.perf_counter()
-
-    if args.alg == "singlepass":
-        if args.infile.endswith((".mtx", ".mm")):
-            stream = singlepass.MatrixMarketColumnStream(args.infile)
-        else:
-            stream = singlepass.RlraFileColumnStream(args.infile)
-        m, n = stream.shape
-        fac = singlepass.single_pass_lu(stream, args.rank, args.seed, panel=args.panel)
-        wall = 1e3 * (time.perf_counter() - started)
-        dense = _load_accessor(args.infile).to_dense() if m * n <= DENSE_ERROR_LIMIT else None
-        rel = _report_error(dense, fac)
-        if args.prefix:
-            _write_lu(args.prefix, fac)
-        print(
-            f"alg=singlepass matrix={args.infile} m={m} n={n} k={args.rank} "
-            f"seed={args.seed} columns={stream.columns_pulled} rel_err={rel:.6e} "
-            f"wall_ms={wall:.1f}"
-        )
-        return 0
-
-    acc = _load_accessor(args.infile)
-    m, n = acc.shape
-    if args.alg == "powerlu":
-        fac = fixedrank.powerlu(acc, args.rank, args.oversample, v, args.seed)
-    elif args.alg == "randlu":
-        fac = fixedrank.randlu(acc, args.rank, args.oversample, p, args.seed)
-    elif args.alg == "randlu-noreorth":
-        fac = fixedrank.randlu_noreorth(acc, args.rank, args.oversample, p, args.seed)
-    else:
-        fac = fixedrank.randsvd(acc, args.rank, args.oversample, p, args.seed)
-    wall = 1e3 * (time.perf_counter() - started)
-
-    dense = acc.to_dense() if m * n <= DENSE_ERROR_LIMIT else None
+    v = _resolve_budget(args.parser.error, args.alg, args.passes)
+    single = args.alg == "singlepass"
+    source = _load_accessor(args.infile, stream=single)
+    m, n = source.shape
+    fac, wall = _run(args.alg, source, args.rank, args.oversample, v, args.seed, args.panel)
+    dense = None
+    if m * n <= DENSE_ERROR_LIMIT:
+        dense = (_load_accessor(args.infile) if single else source).to_dense()
     rel = _report_error(dense, fac)
     if args.prefix:
         write = _write_svd if isinstance(fac, fixedrank.LowRankSVD) else _write_lu
         write(args.prefix, fac)
-    budget = f"v={v}" if p is None else f"v={v} p={p}"
+    if single:
+        budget, count = "", f"columns={source.columns_pulled}"
+    else:
+        budget = f"v={v} " if args.alg == "powerlu" else f"v={v} p={_exponent(v)} "
+        count = f"passes={source.product_count}"
     print(
-        f"alg={args.alg} matrix={args.infile} m={m} n={n} k={args.rank} {budget} "
-        f"seed={args.seed} passes={acc.product_count} rel_err={rel:.6e} "
-        f"wall_ms={wall:.1f}"
+        f"alg={args.alg} matrix={args.infile} m={m} n={n} k={args.rank} {budget}"
+        f"seed={args.seed} {count} rel_err={rel:.6e} wall_ms={wall:.1f}"
     )
     return 0
 
@@ -255,22 +256,6 @@ def cmd_adapt(args):
     return 0
 
 
-def _bench_row(alg, matrix, m, n, *, k="", eps="", v="", p="", seed="",
-               rel_err="", rank="", passes="", wall_ms=""):
-    return {
-        "alg": alg, "matrix": matrix, "m": m, "n": n, "k": k, "eps": eps,
-        "v": v, "p": p, "seed": seed, "rel_err": rel_err, "rank": rank,
-        "passes": passes, "wall_ms": wall_ms,
-    }
-
-
-def _timed_error(fn, dense):
-    started = time.perf_counter()
-    fac = fn()
-    wall = 1e3 * (time.perf_counter() - started)
-    return _report_error(dense, fac), wall
-
-
 def cmd_bench(args):
     if args.suite == "accuracy":
         n = args.n or 500
@@ -283,7 +268,7 @@ def cmd_bench(args):
     else:
         rows = _suite_passes(args.seed)
     with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
+        writer = csv.DictWriter(fh, fieldnames=CSV_HEADER, restval="")
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -291,33 +276,27 @@ def cmd_bench(args):
 
 
 def _suite_sweep(kind, n, seeds, matrix_seed, ranks, oracle):
-    """Relative error of the three drivers at each target rank, one row per
-    (algorithm, rank, seed); with oracle, a leading tsvd row per rank gives
-    the optimum."""
+    """Relative error of three drivers at v = 4 and each target rank, one row
+    per (algorithm, rank, seed); with oracle, a leading tsvd row per rank
+    gives the optimum."""
     a, sigma = matgen.gen_decay(kind, n, n, matrix_seed)
-    label = f"{kind}-{n}"
-    q_os = BENCH_OVERSAMPLE
+    v = 4
     rows = []
     for k in ranks:
+        cell = {"matrix": f"{kind}-{n}", "m": n, "n": n, "k": k, "rank": k}
         if oracle:
             opt = matgen.oracle_error(sigma, k)[0] / core.fro_norm(sigma)
-            rows.append(_bench_row("tsvd", label, n, n, k=k, seed=0,
-                                   rel_err=f"{opt:.6e}", rank=k))
+            rows.append({**cell, "alg": "tsvd", "seed": 0, "rel_err": f"{opt:.6e}"})
         for seed in range(seeds):
-            for alg, fn, v, p in (
-                ("powerlu", lambda: fixedrank.powerlu(a, k, q_os, 4, seed), 4, ""),
-                ("randlu", lambda: fixedrank.randlu(a, k, q_os, 1, seed), 4, 1),
-                ("randsvd", lambda: fixedrank.randsvd(a, k, q_os, 1, seed), 4, 1),
-            ):
+            for alg in ("powerlu", "randlu", "randsvd"):
+                row = {**cell, "alg": alg, "v": v, "seed": seed, "passes": v,
+                       "p": "" if alg == "powerlu" else _exponent(v)}
                 try:
-                    rel, wall = _timed_error(fn, a)
-                    rows.append(_bench_row(alg, label, n, n, k=k, v=v, p=p, seed=seed,
-                                           rel_err=f"{rel:.6e}", rank=k,
-                                           passes=v, wall_ms=f"{wall:.1f}"))
+                    fac, wall = _run(alg, a, k, BENCH_OVERSAMPLE, v, seed)
+                    row.update(rel_err=f"{_report_error(a, fac):.6e}", wall_ms=f"{wall:.1f}")
                 except RlraError as exc:
-                    rows.append(_bench_row(alg, label, n, n, k=k, v=v, p=p, seed=seed,
-                                           rel_err="nan", rank=k, passes=v,
-                                           wall_ms=f"failed: {type(exc).__name__}"))
+                    row.update(rel_err="nan", wall_ms=f"failed: {type(exc).__name__}")
+                rows.append(row)
     return rows
 
 
@@ -325,23 +304,18 @@ def _suite_passes(matrix_seed):
     """Measured product counts per algorithm and budget on a small matrix."""
     m, n, k, q_os = 300, 200, 20, 10
     a, _ = matgen.gen_decay("fast", m, n, matrix_seed)
-    label = f"fast-{m}x{n}"
+    cell = {"matrix": f"fast-{m}x{n}", "m": m, "n": n, "k": k, "seed": 0, "rank": k}
+    runs = [("powerlu", v, "") for v in (2, 3, 4, 5)]
+    runs += [(alg, 2 * p + 2, p) for p in (0, 1, 2) for alg in ("randlu", "randsvd")]
     rows = []
-    for v in (2, 3, 4, 5):
+    for alg, v, p in runs:
         acc = InstrumentedAccessor(a)
-        fac = fixedrank.powerlu(acc, k, q_os, v, seed=0)
-        rows.append(_bench_row("powerlu", label, m, n, k=k, v=v, seed=0,
-                               rank=fac.rank, passes=acc.product_count))
-    for p in (0, 1, 2):
-        for alg, fn in (("randlu", fixedrank.randlu), ("randsvd", fixedrank.randsvd)):
-            acc = InstrumentedAccessor(a)
-            fac = fn(acc, k, q_os, p, 0)
-            rows.append(_bench_row(alg, label, m, n, k=k, v=2 * p + 2, p=p, seed=0,
-                                   rank=k, passes=acc.product_count))
+        _run(alg, acc, k, q_os, v, 0)
+        rows.append({**cell, "alg": alg, "v": v, "p": p, "passes": acc.product_count})
     stream = singlepass.DenseColumnStream(a)
-    singlepass.single_pass_lu(stream, k, seed=0)
-    rows.append(_bench_row("singlepass", label, m, n, k=k, seed=0, rank=k,
-                           passes=1, wall_ms=f"columns={stream.columns_pulled}"))
+    _run("singlepass", stream, k, q_os, None, 0)
+    rows.append({**cell, "alg": "singlepass", "passes": 1,
+                 "wall_ms": f"columns={stream.columns_pulled}"})
     return rows
 
 

@@ -29,10 +29,6 @@ class IllPosedPseudoinverse(RlraError):
     """The matrix handed to a pseudoinverse solve is numerically rank-deficient."""
 
 
-class IllConditionedSolve(RlraError):
-    """A square solve inside a baseline scheme is too ill-conditioned to trust."""
-
-
 class NotConverged(RlraError):
     """Adaptive rank search exhausted its sketch width above tolerance.
 

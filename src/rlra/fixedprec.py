@@ -68,9 +68,7 @@ class PrecisionParams:
 
 def default_width(b, m, n):
     """Default sketch width: 50 blocks of b, at most min(m, n)."""
-    if b > min(m, n):
-        raise ValueError(f"block size {b} exceeds min{(m, n)}")
-    return min(50 * b, min(m, n))
+    return min(50 * b, m, n)
 
 
 def adaptive_rank(a, params, seed):

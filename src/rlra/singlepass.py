@@ -15,8 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import core, fileio, kernels
-from .errors import IllConditionedSolve
-from .fixedrank import LowRankLU, LowRankSVD, _validate_rank, column_pivot_assembly
+from .fixedrank import LowRankLU, _validate_rank, column_pivot_assembly
 
 DEFAULT_PANEL = 256
 
@@ -152,31 +151,3 @@ def single_pass_lu_rowmajor(a, k, seed, q_os=0, panel=DEFAULT_PANEL):
     at = DenseColumnStream(np.asarray(a, dtype=np.float64).T)
     ft = single_pass_lu(at, k, seed, q_os=q_os, panel=panel)
     return LowRankLU(p=ft.q, q=ft.p, L=ft.U.T, U=ft.L.T, rank=ft.rank)
-
-
-def single_pass_baseline_2011(a, k, seed):
-    """Two-sided sketch + linear solve baseline (accuracy yardstick only).
-
-    Y = A Omega and W = A^T Psi are compressed to orthonormal Q, Qt; the core
-    is recovered from (Psi^T Q) B = Psi^T A Qt.  Conceptually single-pass; the
-    implementation takes a dense matrix since it exists only for comparison.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    m, n = a.shape
-    if not 1 <= k <= min(m, n):
-        raise ValueError(f"k={k} outside 1..min{(m, n)}")
-    rng = np.random.default_rng(seed)
-    om = core.gaussian_from(rng, n, k)
-    psi = core.gaussian_from(rng, m, k)
-    w = a.T @ psi
-    q, _ = np.linalg.qr(a @ om)
-    qt, _ = np.linalg.qr(w)
-    lhs = psi.T @ q
-    sv = np.linalg.svd(lhs, compute_uv=False)
-    if sv[-1] <= 1e-12 * sv[0]:
-        raise IllConditionedSolve(
-            f"core solve condition {sv[0] / max(sv[-1], np.finfo(float).tiny):.2e}"
-        )
-    b = np.linalg.solve(lhs, w.T @ qt)
-    ub, s, vbt = np.linalg.svd(b)
-    return LowRankSVD(U=q @ ub, S=s, V=qt @ vbt.T)

@@ -1,6 +1,7 @@
 """Dense references shared by the tests: the projection identities behind
 powerlu_fp, principal angles between computed ranges, the spectral norm,
-an exact-rank matrix, and an accessor that overstates its norm.
+an exact-rank matrix, an accessor that overstates its norm, and the 2011
+single-pass baseline that single_pass_lu is measured against.
 
 The identity checks evaluate both sides directly on a dense A; the library
 tracks the residual energy by subtraction.
@@ -10,6 +11,8 @@ import numpy as np
 
 from rlra import core, kernels
 from rlra.accessors import InstrumentedAccessor
+from rlra.errors import RlraError
+from rlra.kernels import LowRankSVD
 
 
 def error_indicator_check(a, v):
@@ -96,3 +99,36 @@ class OverstatedNorm(InstrumentedAccessor):
 
     def fro_norm(self):
         return 2.0 * super().fro_norm()
+
+
+class IllConditionedSolve(RlraError):
+    """The square core solve of single_pass_baseline_2011 is too
+    ill-conditioned to trust."""
+
+
+def single_pass_baseline_2011(a, k, seed):
+    """Two-sided sketch + linear solve baseline (accuracy yardstick only).
+
+    Y = A Omega and W = A^T Psi are compressed to orthonormal Q, Qt; the core
+    is recovered from (Psi^T Q) B = Psi^T A Qt.  Conceptually single-pass; the
+    implementation takes a dense matrix since it exists only for comparison.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    m, n = a.shape
+    if not 1 <= k <= min(m, n):
+        raise ValueError(f"k={k} outside 1..min{(m, n)}")
+    rng = np.random.default_rng(seed)
+    om = core.gaussian_from(rng, n, k)
+    psi = core.gaussian_from(rng, m, k)
+    w = a.T @ psi
+    q, _ = np.linalg.qr(a @ om)
+    qt, _ = np.linalg.qr(w)
+    lhs = psi.T @ q
+    sv = np.linalg.svd(lhs, compute_uv=False)
+    if sv[-1] <= 1e-12 * sv[0]:
+        raise IllConditionedSolve(
+            f"core solve condition {sv[0] / max(sv[-1], np.finfo(float).tiny):.2e}"
+        )
+    b = np.linalg.solve(lhs, w.T @ qt)
+    ub, s, vbt = np.linalg.svd(b)
+    return LowRankSVD(U=q @ ub, S=s, V=qt @ vbt.T)

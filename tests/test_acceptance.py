@@ -17,6 +17,7 @@ from projection_identities import (
     error_indicator_check,
     projection_decomposition_check,
     range_agreement,
+    single_pass_baseline_2011,
     spec_norm,
 )
 
@@ -176,7 +177,7 @@ def test_criterion_08_single_pass_tracks_optimum_and_beats_baseline():
             a,
         )
         base = _mean_rel_err(
-            lambda s: singlepass.single_pass_baseline_2011(a, k, s), a
+            lambda s: single_pass_baseline_2011(a, k, s), a
         )
         ok &= sp <= 5.0 * opt and sp <= base
         details.append(f"k={k}: {sp / opt:.2f}x opt, baseline {base / opt:.0f}x")

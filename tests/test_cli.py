@@ -1,11 +1,14 @@
 import csv
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rlra
 from rlra import cli, core, fileio, fixedrank, matgen, singlepass
 from rlra.cli import CSV_HEADER, main
 from projection_identities import OverstatedNorm, duplicated_rows
@@ -84,24 +87,37 @@ def test_factor_powerlu_exact_rank(tmp_path, capsys):
 
 
 def test_factor_randlu_power_flag(tmp_path, capsys):
+    # --passes is the only budget flag: the exponent is p = (v - 2) / 2, and
+    # the former --power alias is a usage error
     path = gen_file(tmp_path)
     rc = main(["factor", "--in", path, "--alg", "randlu", "--rank", "15",
-               "--power", "1"])
+               "--passes", "4"])
     assert rc == 0
     info = parse_summary(capsys.readouterr().out.strip())
     assert info["v"] == "4" and info["p"] == "1"
     assert info["passes"] == "4"
+    with pytest.raises(SystemExit) as exc:
+        main(["factor", "--in", path, "--alg", "randlu", "--rank", "15",
+              "--power", "1"])
+    assert exc.value.code == 2
 
 
 def test_factor_randsvd_writes_svd_files(tmp_path, capsys):
+    # rank k means k triplets, not the k + oversample of the sketch
     path = gen_file(tmp_path)
     prefix = str(tmp_path / "svd")
     rc = main(["factor", "--in", path, "--alg", "randsvd", "--rank", "15",
-               "--power", "1", "--out-prefix", prefix])
+               "--passes", "4", "--out-prefix", prefix])
     assert rc == 0
-    assert fileio.read_rlra(prefix + ".U.rlm").shape == (120, 25)
-    assert fileio.read_sigma(prefix + ".S.sigma").shape == (25,)
-    assert fileio.read_rlra(prefix + ".V.rlm").shape == (100, 25)
+    info = parse_summary(capsys.readouterr().out.strip())
+    assert (info["k"], info["v"], info["p"], info["passes"]) == ("15", "4", "1", "4")
+    u = fileio.read_rlra(prefix + ".U.rlm")
+    s = fileio.read_sigma(prefix + ".S.sigma")
+    v = fileio.read_rlra(prefix + ".V.rlm")
+    assert u.shape == (120, 15) and s.shape == (15,) and v.shape == (100, 15)
+    a = fileio.read_rlra(path)
+    assert float(info["rel_err"]) == pytest.approx(
+        core.rel_fro_error(a, (u * s) @ v.T), rel=1e-6)
 
 
 def test_factor_singlepass_reports_columns(tmp_path, capsys):
@@ -137,7 +153,7 @@ def test_factor_singlepass_reports_mtx_error(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("extra", [
-    ["--passes", "3", "--power", "1"],   # both budgets
+    ["--passes", "1"],                   # below the two-pass minimum
     ["--passes", "3"],                   # odd budget for an exponent algorithm
 ])
 def test_factor_usage_errors_exit_2(tmp_path, extra):
@@ -286,6 +302,22 @@ def test_compress_moderate_tolerance(tmp_path, capsys):
     assert float(info["rel_err"]) <= 0.1
 
 
+@pytest.mark.parametrize("cmd", ["compress", "adapt"])
+def test_default_block_on_thin_input(tmp_path, capsys, cmd):
+    # 8 rows, below the default block of 10: the block only sets the default
+    # width, which min(m, n) caps at 8
+    if cmd == "compress":
+        src = str(tmp_path / "thin.pgm")
+        write_rank_r_image(src, 8, 200, 3, seed=2)
+        args = ["compress", "--in", src, "--out", str(tmp_path / "o.pgm"), "--tol", "1e-3"]
+    else:
+        src = gen_file(tmp_path, "fast", 8, 200, seed=2)
+        args = ["adapt", "--in", src, "--tol", "1e-3"]
+    assert main(args) == 0
+    info = parse_summary(capsys.readouterr().out)
+    assert float(info["rel_err"]) <= 1e-3
+
+
 def test_bench_passes_suite_csv(tmp_path, capsys):
     out = str(tmp_path / "passes.csv")
     assert main(["bench", "--suite", "passes", "--out", out]) == 0
@@ -319,6 +351,21 @@ def test_bench_accuracy_suite_csv(tmp_path):
 
 
 
+def test_bench_accuracy_rows_at_or_above_optimum(tmp_path):
+    # every driver row is a rank-k factorization, so none can beat the
+    # rank-k optimum of its tsvd row; an oversampled randsvd would
+    out = str(tmp_path / "acc.csv")
+    assert main(["bench", "--suite", "accuracy", "--type", "fast", "--n", "120",
+                 "--seeds", "1", "--out", out]) == 0
+    rows = list(csv.DictReader(open(out, newline="")))
+    opt = {r["k"]: float(r["rel_err"]) for r in rows if r["alg"] == "tsvd"}
+    assert sorted(opt, key=int) == ["10", "30", "50", "70", "90", "110"]
+    drivers = [r for r in rows if r["alg"] != "tsvd"]
+    assert {r["alg"] for r in drivers} == {"powerlu", "randlu", "randsvd"}
+    for r in drivers:
+        assert float(r["rel_err"]) >= opt[r["k"]] * (1 - 1e-12), r
+
+
 def test_bench_rank_sweep_suite_csv(tmp_path):
     out = str(tmp_path / "sweep.csv")
     assert main(["bench", "--suite", "rank-sweep", "--type", "fast", "--n", "230",
@@ -335,10 +382,13 @@ def test_bench_rank_sweep_suite_csv(tmp_path):
         assert r["passes"] == "4"
 
 def test_module_entry_point(tmp_path):
+    # the subprocess finds rlra where this process did, installed or not
+    src = str(Path(rlra.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-m", "rlra.cli", "gen", "--type", "fast", "--m", "30",
          "--n", "20", "--out", str(tmp_path / "m.rlm")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0
     assert re.search(r"wrote .*m\.rlm", out.stdout)

@@ -60,8 +60,9 @@ def test_default_width():
     assert fixedprec.default_width(7, 100, 50) == 50
     assert fixedprec.default_width(1, 2000, 2000) == 50
     assert fixedprec.default_width(50, 50, 50) == 50
-    with pytest.raises(ValueError):
-        fixedprec.default_width(60, 50, 50)
+    # a block wider than the matrix only caps the width, like any other b
+    assert fixedprec.default_width(60, 50, 50) == 50
+    assert fixedprec.default_width(10, 8, 200) == 8
 
 
 def test_refine_rank_frozen():

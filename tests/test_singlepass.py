@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from rlra import core, fileio, fixedrank, matgen, singlepass
 from rlra.errors import IllPosedPseudoinverse, NonFiniteInput
+from projection_identities import single_pass_baseline_2011
 
 
 def exact_rank_matrix(m, n, r, seed):
@@ -173,14 +174,14 @@ def test_stream_sketch_rank_validation():
 
 def test_baseline_2011_captures_exact_rank():
     a = exact_rank_matrix(80, 60, 5, seed=14)
-    f = singlepass.single_pass_baseline_2011(a, 5, seed=0)
+    f = single_pass_baseline_2011(a, 5, seed=0)
     assert core.rel_fro_error(a, (f.U * f.S) @ f.V.T) <= 1e-6
     assert f.U.shape == (80, 5) and f.S.shape == (5,) and f.V.shape == (60, 5)
 
 
 def test_baseline_2011_rank_validation():
     with pytest.raises(ValueError):
-        singlepass.single_pass_baseline_2011(np.eye(5), 6, seed=0)
+        single_pass_baseline_2011(np.eye(5), 6, seed=0)
 
 
 def write_sparse_mtx(tmp_path, m, n, density, seed):
