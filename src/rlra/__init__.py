@@ -34,7 +34,7 @@ from .fixedrank import (
     randsvd,
     reconstruct,
 )
-from .kernels import eqr, plu, tsvd
+from .kernels import eqr, plu
 from .matgen import gen_decay, gen_sparse, oracle_error
 from .rangefinder import general_power_basis_v, power_basis_lu_l, power_basis_q
 from .singlepass import (
@@ -91,5 +91,4 @@ __all__ = [
     "single_pass_lu",
     "single_pass_lu_rowmajor",
     "stream_sketch",
-    "tsvd",
 ]

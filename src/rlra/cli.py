@@ -1,4 +1,5 @@
-"""Command-line driver: matrix generation, factorization, adaptive-rank runs,
+"""Command-line driver: matrix generation, factorization (every --alg,
+singlepass included, through the one table FIXED_RANK), adaptive-rank runs,
 benchmark CSV emission, and image compression.
 
 Exit codes: 0 success, 2 usage error, 3 not converged, 4 tolerance
@@ -62,14 +63,12 @@ def build_parser():
 
     f = sub.add_parser("factor", help="fixed-rank factorization of a matrix file")
     f.add_argument("--in", dest="infile", required=True)
-    f.add_argument("--alg", required=True,
-                   choices=["powerlu", "randlu", "randlu-noreorth", "randsvd",
-                            "singlepass"])
+    f.add_argument("--alg", required=True, choices=list(FIXED_RANK))
     f.add_argument("--rank", type=int, required=True)
-    f.add_argument("--oversample", type=int, default=10)
+    f.add_argument("--oversample", type=int,
+                   help="default: the driver's own, 10 (0 for singlepass)")
     f.add_argument("--passes", type=int,
                    help="pass budget v >= 2, even for the exponent drivers (p = (v - 2) / 2)")
-    f.add_argument("--panel", type=int, default=singlepass.DEFAULT_PANEL)
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--out-prefix", dest="prefix")
     f.set_defaults(func=cmd_factor, parser=f)
@@ -140,26 +139,27 @@ def _exponent(v):
     return (v - 2) // 2
 
 
-# the fixed-rank drivers by --alg name, each called as (a, k, q_os, v, seed);
+# the fixed-rank drivers by --alg name, called as (source, k, v, seed[, q_os]):
+# source is a column stream for singlepass and a matrix or accessor otherwise;
 # randsvd is cut back to the k triplets its rank-k rows report
 FIXED_RANK = {
-    "powerlu": lambda a, k, q_os, v, seed: fixedrank.powerlu(a, k, q_os, v, seed),
-    "randlu": lambda a, k, q_os, v, seed: fixedrank.randlu(a, k, q_os, _exponent(v), seed),
-    "randlu-noreorth": lambda a, k, q_os, v, seed: fixedrank.randlu_noreorth(
-        a, k, q_os, _exponent(v), seed),
-    "randsvd": lambda a, k, q_os, v, seed: fixedrank.randsvd(
-        a, k, q_os, _exponent(v), seed, truncate=True),
+    "powerlu": lambda a, k, v, seed, **q_os: fixedrank.powerlu(a, k, v=v, seed=seed, **q_os),
+    "randlu": lambda a, k, v, seed, **q_os: fixedrank.randlu(
+        a, k, p=_exponent(v), seed=seed, **q_os),
+    "randlu-noreorth": lambda a, k, v, seed, **q_os: fixedrank.randlu_noreorth(
+        a, k, p=_exponent(v), seed=seed, **q_os),
+    "randsvd": lambda a, k, v, seed, **q_os: fixedrank.randsvd(
+        a, k, p=_exponent(v), seed=seed, truncate=True, **q_os),
+    "singlepass": lambda a, k, v, seed, **q_os: singlepass.single_pass_lu(a, k, seed, **q_os),
 }
 
 
-def _run(alg, source, k, q_os, v, seed, panel=singlepass.DEFAULT_PANEL):
-    """One timed driver call: source is a column stream for singlepass and a
-    matrix or accessor otherwise.  Returns the factors and the wall ms."""
+def _run(alg, source, k, q_os, v, seed):
+    """One timed driver call; q_os None keeps the driver's own default.
+    Returns the factors and the wall ms."""
+    oversample = {} if q_os is None else {"q_os": q_os}
     started = time.perf_counter()
-    if alg == "singlepass":
-        fac = singlepass.single_pass_lu(source, k, seed, panel=panel)
-    else:
-        fac = FIXED_RANK[alg](source, k, q_os, v, seed)
+    fac = FIXED_RANK[alg](source, k, v, seed, **oversample)
     return fac, 1e3 * (time.perf_counter() - started)
 
 
@@ -208,11 +208,8 @@ def cmd_factor(args):
     single = args.alg == "singlepass"
     source = _load_accessor(args.infile, stream=single)
     m, n = source.shape
-    fac, wall = _run(args.alg, source, args.rank, args.oversample, v, args.seed, args.panel)
-    dense = None
-    if m * n <= DENSE_ERROR_LIMIT:
-        dense = (_load_accessor(args.infile) if single else source).to_dense()
-    rel = _report_error(dense, fac)
+    fac, wall = _run(args.alg, source, args.rank, args.oversample, v, args.seed)
+    rel = _report_error(source.to_dense() if m * n <= DENSE_ERROR_LIMIT else None, fac)
     if args.prefix:
         write = _write_svd if isinstance(fac, fixedrank.LowRankSVD) else _write_lu
         write(args.prefix, fac)
@@ -313,7 +310,7 @@ def _suite_passes(matrix_seed):
         _run(alg, acc, k, q_os, v, 0)
         rows.append({**cell, "alg": alg, "v": v, "p": p, "passes": acc.product_count})
     stream = singlepass.DenseColumnStream(a)
-    _run("singlepass", stream, k, q_os, None, 0)
+    _run("singlepass", stream, k, None, None, 0)
     rows.append({**cell, "alg": "singlepass", "passes": 1,
                  "wall_ms": f"columns={stream.columns_pulled}"})
     return rows

@@ -2,7 +2,8 @@
 Matrix Market sparse files, and PGM grayscale images.
 
 RLRA layout: 4 magic bytes "RLRA", two little-endian uint64 dims (rows,
-cols), then rows*cols little-endian float64 values in column-major order.
+cols), then rows*cols little-endian float64 values in column-major order;
+no other module knows it.  PGM images are read as P2 or P5, written as P5.
 """
 
 import struct
@@ -38,12 +39,20 @@ def read_rlra_header(path):
     return int(m), int(n)
 
 
-def read_rlra(path):
+def read_rlra(path, j0=0, j1=None):
+    """The .rlm matrix, F-ordered, or only its columns j0..j1-1.  Header and
+    file size are checked on every call, so a file truncated since an
+    earlier read raises IOError naming the path."""
     m, n = read_rlra_header(path)
+    j1 = n if j1 is None else j1
+    if not 0 <= j0 <= j1 <= n:
+        raise ValueError(f"columns {j0}..{j1 - 1} outside 0..{n - 1}")
     with open(path, "rb") as fh:
-        fh.seek(RLRA_HEADER_BYTES)
-        flat = np.fromfile(fh, dtype="<f8", count=m * n)
-    return flat.reshape((m, n), order="F")
+        fh.seek(RLRA_HEADER_BYTES + 8 * m * j0)
+        flat = np.fromfile(fh, dtype="<f8", count=m * (j1 - j0))
+    if flat.size != m * (j1 - j0):
+        raise IOError(f"{path}: truncated column data")
+    return flat.reshape((m, j1 - j0), order="F")
 
 
 def write_sigma(path, sigma):
@@ -114,8 +123,9 @@ def read_pgm(path):
     return vals.reshape((height, width)), maxval
 
 
-def write_pgm(path, pixels, maxval=255, binary=True):
-    """Store a matrix as a PGM image; values are clamped and rounded."""
+def write_pgm(path, pixels, maxval=255):
+    """Store a matrix as a binary (P5) PGM image; values are clamped and
+    rounded."""
     pixels = np.asarray(pixels, dtype=np.float64)
     if pixels.ndim != 2:
         raise ValueError("image matrix must be 2-d")
@@ -123,12 +133,7 @@ def write_pgm(path, pixels, maxval=255, binary=True):
         raise ValueError(f"bad maxval {maxval}")
     ints = np.clip(np.rint(pixels), 0, maxval).astype(np.uint16)
     height, width = pixels.shape
+    dtype = ">u2" if maxval > 255 else "u1"
     with open(path, "wb") as fh:
-        magic = b"P5" if binary else b"P2"
-        fh.write(magic + b"\n%d %d\n%d\n" % (width, height, maxval))
-        if binary:
-            dtype = ">u2" if maxval > 255 else "u1"
-            fh.write(ints.astype(dtype).tobytes())
-        else:
-            for row in ints:
-                fh.write(b" ".join(b"%d" % v for v in row) + b"\n")
+        fh.write(b"P5\n%d %d\n%d\n" % (width, height, maxval))
+        fh.write(ints.astype(dtype).tobytes())

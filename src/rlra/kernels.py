@@ -1,5 +1,4 @@
-"""Dense factorization kernels: pivoted LU, economy QR, pseudoinverse solves,
-truncated SVD oracle.
+"""Dense factorization kernels: pivoted LU, economy QR, pseudoinverse solves.
 
 The LU elimination runs on LAPACK getrf through rlra.backend, which redoes
 degenerate factorizations with an exact unblocked elimination.  QR of a
@@ -168,13 +167,3 @@ def pinv_transpose_apply(l, m):
     q, r = pinv_factor(l)
     x = solve_triangular(r, np.asarray(m, dtype=np.float64), trans="T", lower=False)
     return q @ x
-
-
-def tsvd(a, k):
-    """Top-k singular triplets; the optimal rank-k approximation oracle."""
-    a = np.asarray(a, dtype=np.float64)
-    r = min(a.shape)
-    if not 1 <= k <= r:
-        raise ValueError(f"k={k} outside 1..{r}")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    return LowRankSVD(u[:, :k], s[:k], vt[:k].T)

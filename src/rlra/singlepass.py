@@ -4,8 +4,8 @@ Both sketches G = A^T Omega and H = A G are accumulated while each column of
 A is read exactly once; the factorization then works on the small sketches
 alone.  Streams deliver columns in panels, dense arrays or (for Matrix
 Market files) scipy.sparse column slices, so a sparse sweep costs O(nnz k)
-rather than O(m n k); the accumulation order is fixed (ascending column
-index) for reproducibility.
+rather than O(m n k); .rlm panels are column reads through fileio.  The
+accumulation order is fixed (ascending column index) for reproducibility.
 """
 
 from dataclasses import replace
@@ -26,7 +26,8 @@ class SketchPair(NamedTuple):
 
 
 class _StreamBase:
-    """Single-use pull interface; subclasses implement _panel(j0, j1)."""
+    """Single-use pull interface; subclasses implement _panel(j0, j1) and
+    to_dense(), the whole matrix as an array, which leaves the stream unread."""
 
     def __init__(self, shape):
         self.shape = shape
@@ -47,44 +48,49 @@ class _StreamBase:
             yield j0, block
 
 
-class DenseColumnStream(_StreamBase):
-    """Streams an in-memory dense matrix."""
+class _InMemoryStream(_StreamBase):
+    """Streams a matrix held whole, a dense array or a CSC matrix; panels
+    are column slices of it."""
 
     def __init__(self, a):
-        self._a = core.as_fmatrix(a)
-        super().__init__(self._a.shape)
+        self._a = a
+        super().__init__(a.shape)
 
     def _panel(self, j0, j1):
         return self._a[:, j0:j1]
 
+    def to_dense(self):
+        return self._a.toarray() if sp.issparse(self._a) else self._a
+
+
+class DenseColumnStream(_InMemoryStream):
+    """Streams an in-memory dense matrix."""
+
+    def __init__(self, a):
+        super().__init__(core.as_fmatrix(a))
+
 
 class RlraFileColumnStream(_StreamBase):
-    """Streams a column-major binary matrix file without loading it whole."""
+    """Streams an .rlm file without loading it whole: each panel is one
+    column-range read through fileio.read_rlra."""
 
     def __init__(self, path):
         self._path = path
         super().__init__(fileio.read_rlra_header(path))
 
     def _panel(self, j0, j1):
-        m = self.shape[0]
-        with open(self._path, "rb") as fh:
-            fh.seek(fileio.RLRA_HEADER_BYTES + 8 * m * j0)
-            flat = np.fromfile(fh, dtype="<f8", count=m * (j1 - j0))
-        if flat.size != m * (j1 - j0):
-            raise IOError(f"{self._path}: truncated column data")
-        return flat.reshape((m, j1 - j0), order="F")
+        return fileio.read_rlra(self._path, j0, j1)
+
+    def to_dense(self):
+        return fileio.read_rlra(self._path)
 
 
-class MatrixMarketColumnStream(_StreamBase):
+class MatrixMarketColumnStream(_InMemoryStream):
     """Streams a Matrix Market file, read whole into CSC on open; panels are
     sparse CSC column slices, never densified."""
 
     def __init__(self, path):
-        self._a = fileio.read_mm(path)
-        super().__init__(self._a.shape)
-
-    def _panel(self, j0, j1):
-        return self._a[:, j0:j1]
+        super().__init__(fileio.read_mm(path))
 
 
 def stream_sketch(stream, k, seed, panel=DEFAULT_PANEL):

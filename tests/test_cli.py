@@ -152,9 +152,45 @@ def test_factor_singlepass_reports_mtx_error(tmp_path, capsys, monkeypatch):
     assert abs(reported[0] - expected) <= 1e-12
 
 
+def test_factor_singlepass_parses_mtx_once(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "s.mtx")
+    assert main(["gen", "--type", "sparse", "--m", "300", "--n", "200",
+                 "--density", "0.05", "--seed", "2", "--out", path]) == 0
+    calls = []
+    read_mm = fileio.read_mm
+
+    def spy(p):
+        calls.append(p)
+        return read_mm(p)
+
+    monkeypatch.setattr(fileio, "read_mm", spy)
+    assert main(["factor", "--in", path, "--alg", "singlepass", "--rank", "20"]) == 0
+    assert calls == [path]
+    assert np.isfinite(float(parse_summary(capsys.readouterr().out)["rel_err"]))
+
+
+def test_factor_singlepass_oversample(tmp_path, capsys):
+    path = gen_file(tmp_path)
+    a = fileio.read_rlra(path)
+    errors = []
+    for q_os in (0, 10, 40):
+        prefix = str(tmp_path / f"os{q_os}")
+        assert main(["factor", "--in", path, "--alg", "singlepass", "--rank", "12",
+                     "--oversample", str(q_os), "--out-prefix", prefix]) == 0
+        info = parse_summary(capsys.readouterr().out)
+        fac = singlepass.single_pass_lu(singlepass.DenseColumnStream(a), 12, seed=0, q_os=q_os)
+        expected = core.rel_fro_error(a, fixedrank.reconstruct(fac))
+        assert info["rel_err"] == f"{expected:.6e}"
+        assert fileio.read_rlra(prefix + ".L.rlm").shape == (120, 12)
+        assert fileio.read_rlra(prefix + ".U.rlm").shape == (12, 100)
+        errors.append(info["rel_err"])
+    assert len(set(errors)) == 3
+
+
 @pytest.mark.parametrize("extra", [
     ["--passes", "1"],                   # below the two-pass minimum
     ["--passes", "3"],                   # odd budget for an exponent algorithm
+    ["--panel", "64"],                   # no such flag
 ])
 def test_factor_usage_errors_exit_2(tmp_path, extra):
     path = gen_file(tmp_path)

@@ -14,6 +14,24 @@ def test_rlra_round_trip_bit_exact(tmp_path):
     assert back.flags.f_contiguous
 
 
+@pytest.mark.parametrize("j0,j1", [(0, 9), (0, 1), (3, 7), (8, 9), (5, 5)])
+def test_rlra_column_range_is_a_slice(tmp_path, j0, j1):
+    a = core.gaussian(1, 17, 9)
+    path = str(tmp_path / "a.rlm")
+    fileio.write_rlra(path, a)
+    cols = fileio.read_rlra(path, j0, j1)
+    assert np.array_equal(cols, fileio.read_rlra(path)[:, j0:j1])
+    assert cols.shape == (17, j1 - j0) and cols.flags.f_contiguous
+
+
+@pytest.mark.parametrize("j0,j1", [(-1, 3), (4, 3), (0, 10)])
+def test_rlra_column_range_rejects_bad_bounds(tmp_path, j0, j1):
+    path = str(tmp_path / "a.rlm")
+    fileio.write_rlra(path, np.eye(9))
+    with pytest.raises(ValueError, match="outside"):
+        fileio.read_rlra(path, j0, j1)
+
+
 def test_rlra_rejects_non_2d(tmp_path):
     with pytest.raises(ValueError):
         fileio.write_rlra(str(tmp_path / "x.rlm"), np.zeros(4))
@@ -72,11 +90,10 @@ def test_pgm_binary_16bit_round_trip(tmp_path):
 
 
 def test_pgm_ascii_round_trip_and_comments(tmp_path):
-    pixels = np.arange(12.0).reshape(3, 4)
-    path = str(tmp_path / "a.pgm")
-    fileio.write_pgm(path, pixels, maxval=255, binary=False)
-    back, _ = fileio.read_pgm(path)
-    assert np.array_equal(back, pixels)
+    path = tmp_path / "a.pgm"
+    path.write_bytes(b"P2\n4 3\n255\n0 1 2 3\n4 5 6 7\n8 9 10 11\n")
+    back, _ = fileio.read_pgm(str(path))
+    assert np.array_equal(back, np.arange(12.0).reshape(3, 4))
 
     commented = tmp_path / "c.pgm"
     commented.write_bytes(b"P2\n# a comment\n2 2\n# another\n255\n0 1\n2 3\n")

@@ -119,6 +119,30 @@ def test_file_stream_matches_dense(tmp_path):
     assert np.array_equal(hd, hf)
 
 
+def test_streams_densify_without_being_consumed(tmp_path):
+    acc = matgen.gen_sparse(30, 20, 0.2, seed=18)
+    a = acc.to_dense()
+    rlm, mtx = str(tmp_path / "a.rlm"), str(tmp_path / "a.mtx")
+    fileio.write_rlra(rlm, a)
+    fileio.write_mm(mtx, acc.sparse)
+    for stream in (singlepass.DenseColumnStream(a), singlepass.RlraFileColumnStream(rlm),
+                   singlepass.MatrixMarketColumnStream(mtx)):
+        dense = stream.to_dense()
+        assert isinstance(dense, np.ndarray)
+        assert np.allclose(dense, a, rtol=1e-15, atol=0)
+        singlepass.stream_sketch(stream, 3, seed=0)
+        assert stream.columns_pulled == 20
+
+
+def test_file_stream_truncated_after_open(tmp_path):
+    path = tmp_path / "a.rlm"
+    fileio.write_rlra(str(path), core.gaussian(11, 50, 37))
+    stream = singlepass.RlraFileColumnStream(str(path))
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(IOError, match="a.rlm"):
+        list(stream.panels(16))
+
+
 @pytest.mark.parametrize("m,n,k", [(12, 8, 3), (300, 200, 30), (600, 400, 30)])
 def test_dense_stream_sketches_agree(tmp_path, m, n, k):
     # every dense stream hands out F-ordered m x w panels, so the transposed
