@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from rlra import core
+from rlra import accessors, core, matgen
 from rlra.accessors import (
     DenseAccessor,
     InstrumentedAccessor,
@@ -74,6 +74,101 @@ def test_sparse_matches_dense():
     # summation order differs between the csr data vector and the dense array
     assert acc.fro_norm() == pytest.approx(core.fro_norm(dense), rel=1e-14)
     assert isinstance(acc.matmul(x), np.ndarray)
+
+
+@pytest.mark.parametrize("banded", [False, True])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_sparse_products_reject_non_finite(monkeypatch, banded, order):
+    if banded:
+        monkeypatch.setattr(accessors, "BAND_ROWS", 64)
+        monkeypatch.setattr(accessors, "BANDED_MIN_ENTRIES", 0)
+    rng = np.random.default_rng(16)
+    acc = SparseAccessor(sp.random(300, 200, density=0.05, format="csc", random_state=rng))
+    x = np.array(core.gaussian(14, 200, 30), order=order)
+    y = np.array(core.gaussian(15, 300, 30), order=order)
+    x[5, 7] = np.nan
+    y[9, 2] = np.inf
+    with pytest.raises(NonFiniteInput, match=r"A @ X"):
+        acc.matmul(x)
+    with pytest.raises(NonFiniteInput, match=r"A\.T @ X"):
+        acc.rmatmul(y)
+    assert (acc._bands[0] is not None, acc._bands[1] is not None) == (banded, banded)
+
+
+def banded_operand(m, n, empty_rows=(), empty_cols=()):
+    rng = np.random.default_rng(m * n)
+    a = sp.random(m, n, density=0.3, format="lil", random_state=rng)
+    a[list(empty_rows), :] = 0
+    a[:, list(empty_cols)] = 0
+    a = sp.csc_matrix(a)
+    a.eliminate_zeros()
+    return a
+
+
+# BAND_ROWS is patched to 4: 4 rows fit in one band, 3 are less than one,
+# 14 and 11 span several bands plus a remainder, and rows 4-7 of the 14 x 11
+# operand and its columns 4-7 leave a band without nonzeros in each direction
+@pytest.mark.parametrize(
+    "m,n,empty",
+    [(4, 4, ()), (3, 2, ()), (14, 11, ()), (14, 11, range(4, 8)), (2, 14, ()), (14, 3, ())],
+)
+@pytest.mark.parametrize("width", [None, 1, 40])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_sparse_bands_bitwise_equal(monkeypatch, m, n, empty, width, order):
+    # every band's rows sum their terms in the order of one SciPy product
+    monkeypatch.setattr(accessors, "BAND_ROWS", 4)
+    monkeypatch.setattr(accessors, "BANDED_MIN_ENTRIES", 0)
+    a = banded_operand(m, n, empty, empty)
+    acc = SparseAccessor(a)
+    shape = (n,) if width is None else (n, width)
+    x = np.asarray(np.random.default_rng(1).standard_normal(shape), order=order)
+    y = np.asarray(np.random.default_rng(2).standard_normal((m,) + shape[1:]), order=order)
+    ax, aty = acc.matmul(x), acc.rmatmul(y)
+    for got, want in ((ax, a @ x), (aty, a.T @ y)):
+        assert got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
+    # an operand that fits in one band is used as given, with no copy
+    assert (acc._bands[0] is None, acc._bands[1] is None) == (m <= 4, n <= 4)
+    if m > 4:
+        assert len(acc._bands[0]) == -(-m // 4)
+    if empty:
+        assert acc._bands[0][1].nnz == acc._bands[1][1].nnz == 0
+
+
+def test_sparse_bands_by_result_size():
+    # at the default constants only results of BANDED_MIN_ENTRIES or more
+    # entries and more than BAND_ROWS rows run in bands
+    m, n = accessors.BAND_ROWS + 100, 500
+    a = sp.random(m, n, density=1e-3, format="csc", random_state=np.random.default_rng(3))
+    acc = SparseAccessor(a)
+    narrow = np.ones(n)
+    assert np.array_equal(acc.matmul(narrow), a @ narrow)
+    assert acc._bands == [None, None]
+    wide = np.random.default_rng(4).standard_normal((n, accessors.BANDED_MIN_ENTRIES // m + 1))
+    assert np.array_equal(acc.matmul(wide), a @ wide)
+    assert len(acc._bands[0]) == 2
+    # A.T @ Y has n result rows, which fit in one band
+    y = np.random.default_rng(5).standard_normal((m, 1000))
+    assert np.array_equal(acc.rmatmul(y), a.T @ y)
+    assert acc._bands[1] is None
+
+
+def test_sparse_accessor_is_lazy():
+    # generating, densifying and taking the norm build no bands
+    acc = matgen.gen_sparse(300, 200, 0.05, seed=3)
+    _ = acc.to_dense()
+    _ = acc.fro_norm()
+    assert acc._bands == [None, None]
+
+
+def test_sparse_fro_norm_computed_once():
+    a = sample_sparse()
+    acc = SparseAccessor(a)
+    want = float(np.sqrt((a.data**2).sum()))
+    assert acc.fro_norm() == want
+    acc.sparse.data[:] = 0.0  # A must not change once wrapped; the norm is not read again
+    assert acc.fro_norm() == want
 
 
 def test_instrumented_counts_products_only():
