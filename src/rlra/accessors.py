@@ -20,10 +20,12 @@ a.T @ x.  The bands are two more copies of the nonzeros: about 24 bytes per
 nonzero, plus 4 bytes of index pointer per band and column (or row).  Each
 set is built at the first product that needs it, for about the cost of one
 product, once per accessor; so reuse one accessor across calls, since
-as_accessor on a raw sparse matrix makes a new one every time.  The bands
-snapshot A, and fro_norm is computed once, so A must not change once it is
-wrapped.  An operand with at most BAND_ROWS result rows, or a result of
-fewer than BANDED_MIN_ENTRIES entries, takes one SciPy call on A as given.
+as_accessor on a raw sparse matrix makes a new one every time.  A call that
+makes one product per side does not earn the build back, and products under
+about 10 columns wide are slower in bands.  The bands snapshot A, and
+fro_norm is computed once, so A must not change once it is wrapped.  An
+operand with at most BAND_ROWS result rows takes one SciPy call on A as
+given.
 """
 
 import numpy as np
@@ -34,13 +36,11 @@ from . import core
 # Result rows per band of a sparse product.  A 4096-row slice of a 40-wide
 # result is 1.3 MB and stays in a 2 MB L2 while the band scatters into it.
 # On a 20000 x 20000 operand with 400k nonzeros (one thread, Xeon, 2 MB L2
-# per core) a 40-wide A @ X took 23 ms as one SciPy call and 13 ms in
-# 4096-row bands; 2048, 3072 and 8192 rows were slower.
+# per core, BENCH_sparse-bands.json) a 40-wide A @ X took 24-27 ms as one
+# SciPy call and 17-18 ms in 4096-row bands, A.T @ Y 28-31 and 17-19 ms.
+# 2048 and 3072 rows were as fast and 8192 slower (18-21 ms); 4096 makes
+# the fewest bands of the fast heights.
 BAND_ROWS = 4096
-# A smaller result fits in L2 whole, and one SciPy call is faster: on the
-# same operand at width 4 it took 1.5 ms against 3.5 ms in bands, and the
-# two broke even at width 8 (160k entries) and on 5000 x 5000 at width 40.
-BANDED_MIN_ENTRIES = 200_000
 
 __all__ = ["DenseAccessor", "SparseAccessor", "InstrumentedAccessor", "as_accessor"]
 
@@ -82,8 +82,7 @@ class SparseAccessor:
 
     def _product(self, side, x):
         a = self._a.T if side else self._a
-        width = x.shape[1] if x.ndim == 2 else 1
-        if a.shape[0] <= BAND_ROWS or a.shape[0] * width < BANDED_MIN_ENTRIES:
+        if a.shape[0] <= BAND_ROWS:
             return np.asarray(a @ x)
         starts = range(0, a.shape[0], BAND_ROWS)
         if self._bands[side] is None:

@@ -81,7 +81,6 @@ def test_sparse_matches_dense():
 def test_sparse_products_reject_non_finite(monkeypatch, banded, order):
     if banded:
         monkeypatch.setattr(accessors, "BAND_ROWS", 64)
-        monkeypatch.setattr(accessors, "BANDED_MIN_ENTRIES", 0)
     rng = np.random.default_rng(16)
     acc = SparseAccessor(sp.random(300, 200, density=0.05, format="csc", random_state=rng))
     x = np.array(core.gaussian(14, 200, 30), order=order)
@@ -117,7 +116,6 @@ def banded_operand(m, n, empty_rows=(), empty_cols=()):
 def test_sparse_bands_bitwise_equal(monkeypatch, m, n, empty, width, order):
     # every band's rows sum their terms in the order of one SciPy product
     monkeypatch.setattr(accessors, "BAND_ROWS", 4)
-    monkeypatch.setattr(accessors, "BANDED_MIN_ENTRIES", 0)
     a = banded_operand(m, n, empty, empty)
     acc = SparseAccessor(a)
     shape = (n,) if width is None else (n, width)
@@ -134,24 +132,6 @@ def test_sparse_bands_bitwise_equal(monkeypatch, m, n, empty, width, order):
         assert len(acc._bands[0]) == -(-m // 4)
     if empty:
         assert acc._bands[0][1].nnz == acc._bands[1][1].nnz == 0
-
-
-def test_sparse_bands_by_result_size():
-    # at the default constants only results of BANDED_MIN_ENTRIES or more
-    # entries and more than BAND_ROWS rows run in bands
-    m, n = accessors.BAND_ROWS + 100, 500
-    a = sp.random(m, n, density=1e-3, format="csc", random_state=np.random.default_rng(3))
-    acc = SparseAccessor(a)
-    narrow = np.ones(n)
-    assert np.array_equal(acc.matmul(narrow), a @ narrow)
-    assert acc._bands == [None, None]
-    wide = np.random.default_rng(4).standard_normal((n, accessors.BANDED_MIN_ENTRIES // m + 1))
-    assert np.array_equal(acc.matmul(wide), a @ wide)
-    assert len(acc._bands[0]) == 2
-    # A.T @ Y has n result rows, which fit in one band
-    y = np.random.default_rng(5).standard_normal((m, 1000))
-    assert np.array_equal(acc.rmatmul(y), a.T @ y)
-    assert acc._bands[1] is None
 
 
 def test_sparse_accessor_is_lazy():
