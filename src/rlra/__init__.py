@@ -2,9 +2,11 @@
 
 Fixed-rank drivers (randsvd, randlu, powerlu), a fixed-precision driver with
 adaptive rank search (powerlu_fp; powerlu_fp_restarting retries it
-with a wider or narrower sketch), and a single-pass LU for streamed
-matrices.  The pivoted-LU elimination runs on LAPACK getrf, with an exact
-unblocked elimination for sketches with dependent columns (rlra.backend).
+with a wider sketch), and a single-pass LU for streamed matrices.  The
+pivoted-LU elimination runs on LAPACK getrf (rlra.backend).  No pivot
+decides a rank: the fixed-rank drivers return factors at any k, with
+error at rounding level once k reaches rank(A), and powerlu_fp's energy
+scan alone chooses its rank.
 """
 
 from .accessors import DenseAccessor, InstrumentedAccessor, SparseAccessor, as_accessor
@@ -14,7 +16,6 @@ from .errors import (
     IllPosedPseudoinverse,
     NonFiniteInput,
     NotConverged,
-    RankCollapse,
     RlraError,
     Unsatisfiable,
 )
@@ -61,7 +62,6 @@ __all__ = [
     "NonFiniteInput",
     "NotConverged",
     "PrecisionParams",
-    "RankCollapse",
     "RlraError",
     "RlraFileColumnStream",
     "SparseAccessor",

@@ -13,18 +13,6 @@ class NonFiniteInput(RlraError):
     """
 
 
-class RankCollapse(RlraError):
-    """A sketch lost columns: a factorization inside a range finder produced
-    exactly dependent columns, so the requested basis width cannot be met."""
-
-    def __init__(self, achieved, requested):
-        self.achieved = achieved
-        self.requested = requested
-        super().__init__(
-            f"sketch rank collapse: {achieved} usable columns of {requested} requested"
-        )
-
-
 class IllPosedPseudoinverse(RlraError):
     """The matrix handed to a pseudoinverse solve is numerically rank-deficient."""
 

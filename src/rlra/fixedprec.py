@@ -7,8 +7,8 @@ exactly v passes.  G = A V is formed whole in one pass, so the rank comes
 from one scan over its column energies.  The block size b of the paper's
 blocked search only sets the default sketch width (default_width, 50
 blocks): the scan returns the same rank, V and G for every b.
-powerlu_fp_restarting reruns the search with a wider or narrower sketch
-until it converges.
+powerlu_fp_restarting reruns the search with a wider sketch until it
+converges.
 """
 
 from dataclasses import dataclass, replace
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fixedrank, rangefinder
 from .accessors import as_accessor
-from .errors import NotConverged, RankCollapse, Unsatisfiable
+from .errors import NotConverged, Unsatisfiable
 
 
 @dataclass
@@ -125,15 +125,13 @@ def powerlu_fp(a, params, seed):
 
 
 def powerlu_fp_restarting(a, params, seed):
-    """powerlu_fp, rerun until it converges: widen on NotConverged, narrow
-    on RankCollapse.
+    """powerlu_fp, rerun with a wider sketch until it converges.
 
     Not converged: l doubles, capped at min(m, n); Unsatisfiable once l is
-    at the cap.  Sketch collapse (A has rank below l): l narrows to the
-    achieved width, which also becomes the cap, since wider sketches would
-    collapse again; a collapse to no usable column is re-raised.  Rerun i
-    draws with seed + i, a fresh basis rather than a grown one.  Every
-    attempt spends up to v passes.  Returns (LowRankLU, AdaptiveOutcome).
+    at the cap.  Rerun i draws with seed + i, a fresh basis rather than a
+    grown one, and every attempt spends exactly v passes.  A of rank below
+    l needs no rerun: the energy scan stops at its rank.  Returns
+    (LowRankLU, AdaptiveOutcome).
     """
     a = as_accessor(a)
     cap = min(a.shape)
@@ -146,9 +144,4 @@ def powerlu_fp_restarting(a, params, seed):
                     f"sketch width {params.l} already at cap {cap} without converging"
                 )
             params = replace(params, l=min(2 * params.l, cap))
-        except RankCollapse as exc:
-            if exc.achieved == 0:
-                raise
-            cap = exc.achieved
-            params = replace(params, l=cap)
         seed += 1

@@ -77,8 +77,9 @@ def randlu(a, k, q_os=10, p=1, seed=0):
     through the accessor (one transpose product); the column-pivoted step is a
     partial-pivot LU of B^T.  2p + 2 passes total.
 
-    Raises IllPosedPseudoinverse when the truncated sketch is numerically
-    rank-deficient (target rank above the numerical rank of A).
+    A of rank below k + q_os still gets its factors: the sketch's L is unit
+    lower with entries at most 1 whatever the sketch's rank, and at
+    k >= rank(A) the error is at rounding level.
     """
     a = as_accessor(a)
     _validate_rank(a, k, q_os)
@@ -97,7 +98,7 @@ def randlu_noreorth(a, k, q_os=10, p=1, seed=0):
     _validate_rank(a, k, q_os)
     om = core.gaussian(seed, a.shape[1], k + q_os)
     raw = rangefinder._power_chain(a, om, 2 * p + 1, lambda x: x)
-    return _assemble_from_sketch_lu(a, rangefinder._final_sketch_lu(raw), k)
+    return _assemble_from_sketch_lu(a, kernels.plu(raw), k)
 
 
 def _assemble_from_sketch_lu(a, sk, k):

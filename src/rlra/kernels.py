@@ -1,7 +1,6 @@
 """Dense factorization kernels: pivoted LU, economy QR, pseudoinverse solves.
 
-The LU elimination runs on LAPACK getrf through rlra.backend, which redoes
-degenerate factorizations with an exact unblocked elimination.  QR of a
+The LU elimination runs on LAPACK getrf through rlra.backend.  QR of a
 tall matrix is CholeskyQR2 (two Gram / Cholesky / GEMM sweeps) when a
 certificate shows it is accurate, and Householder QR on LAPACK otherwise;
 SVD is delegated to LAPACK.  All shapes are economy: r = min(m, n).
@@ -44,19 +43,19 @@ class LowRankSVD(NamedTuple):
 def plu(a):
     """Partial-pivot LU: returns (L, U, p) with A[p, :] = L @ U.
 
-    The pivot is the max-magnitude entry of the active column.  A column
-    whose active part is negligible (relative to the whole column) gets no
-    swap and a zero L column below the diagonal, so rank-deficient input is
-    handled without error; a dependent column leaves an exactly zero pivot.
-    The input is copied once, into the F-ordered work array; L and U are
-    C-ordered copies of its two triangles.
+    The pivot is the max-magnitude entry of the active column, so every
+    multiplier is at most 1 in magnitude.  Rank-deficient input is handled
+    without error: a dependent column leaves a zero or round-off sized
+    pivot, which nothing downstream reads as a rank decision.  The input
+    is copied once, into the F-ordered work array; L and U are C-ordered
+    copies of its two triangles.
     """
     lu = np.array(a, dtype=np.float64, order="F")
     if lu.ndim != 2:
         raise ValueError(f"expected a 2-d array, got ndim={lu.ndim}")
     m, n = lu.shape
     piv = np.arange(m, dtype=np.int64)
-    backend.plu_inplace(lu, piv, a)
+    backend.plu_inplace(lu, piv)
     r = min(m, n)
     U = np.triu(lu[:r, :])
     # L is unpacked over the work array (U is copied out first), then copied

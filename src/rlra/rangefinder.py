@@ -12,8 +12,11 @@ products and in the factorization of the last one:
 - fixedrank.randlu_noreorth: no renormalization at all.
 
 Interior LU renormalizations keep only the row-unpermuted L factor, which
-preserves the span exactly.  Pass accounting is strict: one accessor
-product equals one pass.
+preserves the span exactly when the sketch has full column rank.  No width
+is checked: when A has rank below l, L (unit lower, every entry at most 1
+in magnitude) and QR's Q still have l columns, and each dependent direction
+is a bounded extra column, like one more oversampling column.  Pass
+accounting is strict: one accessor product equals one pass.
 """
 
 from typing import NamedTuple
@@ -22,7 +25,6 @@ import numpy as np
 
 from . import core, kernels
 from .accessors import as_accessor
-from .errors import RankCollapse
 
 
 class RangeBasis(NamedTuple):
@@ -30,36 +32,10 @@ class RangeBasis(NamedTuple):
     passes_used: int
 
 
-def _check_width(diag, requested):
-    """Exactly zero pivots mean the sketch has structurally dependent columns.
-
-    Benign near-deficiency (tiny but nonzero pivots) passes through: unit
-    lower factors and QR's orthonormal Q stay full width regardless, so the
-    basis remains usable.  An exactly rank-deficient sketch never passes
-    the CholeskyQR2 certificate in kernels._tall_qr, so the zeros of its QR
-    diagonal are Householder's.
-    """
-    achieved = int(np.count_nonzero(diag))
-    if achieved < requested:
-        raise RankCollapse(achieved, requested)
-
-
-def _qr_basis(x):
-    q, r = kernels.eqr(x)
-    _check_width(np.diag(r), x.shape[1])
-    return q
-
-
-def _final_sketch_lu(y):
-    """Pivoted LU (L, U, p) of the sketch, rejecting dependent columns."""
-    f = kernels.plu(y)
-    _check_width(np.diag(f.U), y.shape[1])
-    return f
-
-
 def _lu_basis(x):
-    """Row-unpermuted L of lu(x): spans exactly what x spans."""
-    f = _final_sketch_lu(x)
+    """Row-unpermuted L of lu(x): spans what x spans, and more when x has
+    dependent columns."""
+    f = kernels.plu(x)
     return core.apply_inv_row_perm(f.p, f.L)
 
 
@@ -94,8 +70,8 @@ def power_basis_q(a, l, p, seed):
     if p < 0:
         raise ValueError("p must be >= 0")
     om = core.gaussian(seed, a.shape[1], l)
-    y = _power_chain(a, om, 2 * p + 1, _qr_basis)
-    return RangeBasis(_qr_basis(y), 2 * p + 1)
+    y = _power_chain(a, om, 2 * p + 1, lambda x: kernels.eqr(x).Q)
+    return RangeBasis(kernels.eqr(y).Q, 2 * p + 1)
 
 
 def power_basis_lu_l(a, l, p, seed):
@@ -111,7 +87,7 @@ def power_basis_lu_l(a, l, p, seed):
     if p < 0:
         raise ValueError("p must be >= 0")
     om = core.gaussian(seed, a.shape[1], l)
-    return _final_sketch_lu(_power_chain(a, om, 2 * p + 1, _lu_basis))
+    return kernels.plu(_power_chain(a, om, 2 * p + 1, _lu_basis))
 
 
 def general_power_basis_v(a, l, v, seed):
@@ -129,4 +105,4 @@ def general_power_basis_v(a, l, v, seed):
     even = v % 2 == 0
     om = core.gaussian(seed, m if even else n, l)
     y = _power_chain(a, om, v - 1, _lu_basis, transpose_first=even)
-    return RangeBasis(_qr_basis(y), v - 1)
+    return RangeBasis(kernels.eqr(y).Q, v - 1)

@@ -137,7 +137,8 @@ def single_pass_lu(stream, k, seed, q_os=0, panel=DEFAULT_PANEL):
 
     Raises ValueError for k < 1, q_os < 0 or k + q_os above min(m, n),
     before any column is read, and IllPosedPseudoinverse when G is
-    numerically rank-deficient (k above the numerical rank of A).
+    numerically rank-deficient (k + q_os above the numerical rank of A);
+    it is the one driver that rejects a sketch wider than rank(A).
     """
     _validate_rank(stream, k, q_os)
     l = k + q_os

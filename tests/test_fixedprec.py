@@ -3,7 +3,7 @@ import pytest
 
 from rlra import core, fixedprec, fixedrank, matgen
 from rlra.accessors import InstrumentedAccessor
-from rlra.errors import NotConverged, RankCollapse, Unsatisfiable
+from rlra.errors import NotConverged, Unsatisfiable
 from projection_identities import (
     OverstatedNorm,
     duplicated_rows,
@@ -238,28 +238,12 @@ def test_restarting_unsatisfiable_at_cap(monkeypatch):
     assert attempts == [(20, 0, 4), (40, 1, 4), (80, 2, 4), (85, 3, 4)]
 
 
-def test_restarting_narrows_after_collapse(monkeypatch):
-    # exact rank 20 against width 90: the first sketch collapses part way
-    # through its chain, and the rerun at the achieved width converges
-    a = duplicated_rows(120, 90, 20, seed=6)
-    acc = InstrumentedAccessor(a)
-    attempts = record_attempts(monkeypatch, acc)
-    params = fixedprec.PrecisionParams(eps=1e-6, b=5, l=90, v=4)
-    fac, out = fixedprec.powerlu_fp_restarting(acc, params, seed=7)
-    (l0, seed0, spent0), (l1, seed1, spent1) = attempts
-    assert (l0, seed0, l1, seed1) == (90, 7, 20, 8)
-    assert 1 <= spent0 < 4 and spent1 == 4
-    assert acc.product_count == spent0 + spent1
-    assert out.rank == 20
-    assert core.rel_fro_error(a, fixedrank.reconstruct(fac)) <= params.eps
-
-
 @pytest.mark.parametrize("r, b, l", [
     (3, 5, 20), (3, 10, 50), (7, 5, 20), (7, 10, 50), (20, 6, 90), (20, 25, 75),
 ])
 def test_restarting_exact_rank_converges(monkeypatch, r, b, l):
-    # exact rank r below l, whatever its relation to b: each collapse
-    # narrows to the achieved width until the sketch fits the rank
+    # exact rank r below l, whatever its relation to b: the energy scan
+    # stops at r in the first attempt of v products
     a = duplicated_rows(120, 90, r, seed=6)
     acc = InstrumentedAccessor(a)
     attempts = record_attempts(monkeypatch, acc)
@@ -267,20 +251,18 @@ def test_restarting_exact_rank_converges(monkeypatch, r, b, l):
     fac, out = fixedprec.powerlu_fp_restarting(acc, params, seed=0)
     assert out.converged and out.rank == r
     assert core.rel_fro_error(a, fixedrank.reconstruct(fac)) <= params.eps
-    widths = [w for w, _, _ in attempts]
-    assert widths[0] == l and all(x > y for x, y in zip(widths, widths[1:]))
-    assert all(spent < params.v for _, _, spent in attempts[:-1])
-    assert [s for _, s, _ in attempts] == list(range(len(attempts)))
+    assert attempts == [(l, 0, 4)]
 
 
-def test_restarting_reraises_collapse_to_nothing(monkeypatch):
+def test_restarting_zero_matrix_is_one_attempt(monkeypatch):
     acc = InstrumentedAccessor(np.zeros((30, 20)))
     attempts = record_attempts(monkeypatch, acc)
     params = fixedprec.PrecisionParams(eps=1e-5, b=10, l=20, v=4)
-    with pytest.raises(RankCollapse) as exc:
-        fixedprec.powerlu_fp_restarting(acc, params, seed=0)
-    assert (exc.value.achieved, exc.value.requested) == (0, 20)
-    assert attempts == [(20, 0, 1)]
+    fac, out = fixedprec.powerlu_fp_restarting(acc, params, seed=0)
+    assert out.converged and out.residual_energy == 0.0
+    product = fixedrank.reconstruct(fac)
+    assert np.isfinite(product).all() and not product.any()
+    assert attempts == [(20, 0, 4)]
 
 
 def test_width_exceeding_matrix_rejected():

@@ -4,8 +4,8 @@ import scipy.sparse as sp
 
 from rlra import core, fixedprec, fixedrank, matgen, rangefinder, singlepass
 from rlra.accessors import DenseAccessor, InstrumentedAccessor
-from rlra.errors import NonFiniteInput, RankCollapse
-from projection_identities import range_agreement
+from rlra.errors import IllPosedPseudoinverse, NonFiniteInput
+from projection_identities import duplicated_rows, range_agreement
 
 
 def exact_rank_matrix(m, n, r, seed, best=2.0, worst=1.0):
@@ -160,15 +160,45 @@ def test_range_agreement_rejects_mismatch():
         range_agreement(f, h)
 
 
-def test_rank_collapse_propagates_from_sketch():
-    # bitwise-duplicated rows survive the products bitwise, so the interior
-    # eliminations cancel them to exact zeros and the collapse is detected
-    base = core.gaussian(17, 5, 30)
-    a = np.vstack([base] * 8)
-    with pytest.raises(RankCollapse):
-        fixedrank.powerlu(a, 10, q_os=5, v=4, seed=0)
-    with pytest.raises(RankCollapse):
-        fixedrank.randlu(a, 10, q_os=5, p=1, seed=0)
+def _svd_product(f):
+    return (f.U * f.S) @ f.V.T
+
+
+# (driver, reconstruction) pairs for every fixed-rank driver
+FIXED_RANK = [
+    pytest.param(lambda a, k: fixedrank.powerlu(a, k, v=4, seed=0), fixedrank.reconstruct,
+                 id="powerlu"),
+    pytest.param(lambda a, k: fixedrank.randlu(a, k, p=1, seed=0), fixedrank.reconstruct,
+                 id="randlu"),
+    pytest.param(lambda a, k: fixedrank.randsvd(a, k, p=1, seed=0, truncate=True),
+                 _svd_product, id="randsvd"),
+]
+
+
+@pytest.mark.parametrize("driver,product", FIXED_RANK)
+@pytest.mark.parametrize("r", [3, 7, 20])
+def test_exact_rank_from_the_factors(driver, product, r):
+    # a sketch of width k + 10 above rank r: at k >= r the factors are exact
+    # to rounding, and at k = r - 1 they are still returned, finite
+    a = duplicated_rows(120, 90, r, seed=6)
+    for k in (r, r + 2):
+        assert core.rel_fro_error(a, product(driver(a, k))) <= 1e-13
+    assert np.isfinite(product(driver(a, r - 1))).all()
+
+
+@pytest.mark.parametrize("driver,product", FIXED_RANK + [
+    pytest.param(lambda a, k: fixedrank.randlu_noreorth(a, k, p=1, seed=0),
+                 fixedrank.reconstruct, id="randlu_noreorth"),
+])
+def test_zero_matrix_gives_zero_factors(driver, product):
+    f = product(driver(np.zeros((30, 20)), 5))
+    assert f.shape == (30, 20) and np.isfinite(f).all() and not f.any()
+
+
+def test_single_pass_lu_on_zero_matrix_is_ill_posed():
+    # the one driver that still rejects a sketch wider than rank(A)
+    with pytest.raises(IllPosedPseudoinverse):
+        singlepass.single_pass_lu(singlepass.DenseColumnStream(np.zeros((30, 20))), 5, seed=0)
 
 
 def test_validation_errors():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rlra import backend, core, kernels, rangefinder
-from rlra.errors import IllPosedPseudoinverse, RankCollapse
+from rlra import backend, core, kernels
+from rlra.errors import IllPosedPseudoinverse
 from projection_identities import tsvd
 
 
@@ -37,11 +37,11 @@ def test_plu_unpacks_getrf_output(monkeypatch, m, n):
     buffers = []
     inplace = backend.plu_inplace
     monkeypatch.setattr(backend, "plu_inplace",
-                        lambda lu, piv, src: buffers.append(lu) or inplace(lu, piv, src))
+                        lambda lu, piv: buffers.append(lu) or inplace(lu, piv))
     f = kernels.plu(a)
     lu = np.array(a, order="F")
     piv = np.arange(m, dtype=np.int64)
-    inplace(lu, piv, a)
+    inplace(lu, piv)
     r = min(m, n)
     expected_l = np.tril(lu[:, :r], -1)
     expected_l[np.arange(r), np.arange(r)] = 1.0
@@ -62,16 +62,19 @@ def test_plu_duplicate_columns_zero_pivot():
     col = rng.standard_normal((10, 1))
     a = np.hstack([col, 2.0 * col, rng.standard_normal((10, 2))])
     f = kernels.plu(a)
-    # the duplicated direction surfaces as an exactly zero pivot
-    assert f.U[1, 1] == 0.0
+    # the duplicated direction surfaces as a pivot at rounding level, and
+    # partial pivoting keeps L bounded all the same
+    assert abs(f.U[1, 1]) <= 4 * np.finfo(float).eps * abs(f.U[0, 1])
+    assert np.abs(f.L).max() <= 1.0
     assert np.allclose(a[f.p, :], f.L @ f.U, atol=1e-14 * core.fro_norm(a))
 
 
 _rng = np.random.default_rng(3)
 _col = _rng.standard_normal((12, 1))
-# (matrix, indices of exactly zero pivots, leading pivot row)
+# (matrix, indices of exactly zero pivots or None when a dependent column
+# leaves a round-off sized one, leading pivot row)
 DEGENERATE = [
-    pytest.param(np.hstack([_col, _col, _rng.standard_normal((12, 3))]), [1], 9,
+    pytest.param(np.hstack([_col, _col, _rng.standard_normal((12, 3))]), None, 9,
                  id="duplicate-columns"),
     pytest.param(np.zeros((8, 5)), [0, 1, 2, 3, 4], 0, id="all-zero"),
     pytest.param(np.vstack([_rng.standard_normal((3, 6)), np.zeros((7, 6))]), [3, 4, 5], 2,
@@ -88,33 +91,9 @@ def test_plu_degenerate(a, zero_pivots, p0):
     f = kernels.plu(a)
     assert np.abs(a[f.p, :] - f.L @ f.U).max() <= 1e-14 * core.fro_norm(a)
     assert np.abs(f.L).max() <= 1.0
-    assert np.flatnonzero(np.diag(f.U) == 0.0).tolist() == zero_pivots
+    if zero_pivots is not None:
+        assert np.flatnonzero(np.diag(f.U) == 0.0).tolist() == zero_pivots
     assert f.p[0] == p0
-
-
-def test_plu_fallback_is_the_exact_elimination(monkeypatch):
-    calls = []
-    exact = backend._plu_exact
-    monkeypatch.setattr(backend, "_plu_exact", lambda lu, piv: calls.append(1) or exact(lu, piv))
-    a = DEGENERATE[0].values[0]
-    f = kernels.plu(a)
-    assert calls == [1]
-    lu = np.array(a, order="F")
-    piv = np.arange(a.shape[0], dtype=np.int64)
-    exact(lu, piv)
-    assert np.array_equal(f.p, piv)
-    assert np.array_equal(f.L, np.tril(lu, -1) + np.eye(*a.shape))
-    assert np.array_equal(f.U, np.triu(lu[: a.shape[1], :]))
-
-
-def test_plu_well_posed_input_stays_on_getrf(monkeypatch):
-    def refuse(lu, piv):
-        raise AssertionError("exact elimination ran on a well-posed input")
-
-    monkeypatch.setattr(backend, "_plu_exact", refuse)
-    a = core.gaussian(12, 40, 9)
-    f = kernels.plu(a)
-    assert np.abs(a[f.p, :] - f.L @ f.U).max() <= 1e-14 * core.fro_norm(a)
 
 
 def test_eqr_orthonormal():
@@ -177,13 +156,6 @@ def test_tall_qr_certificate_rejects_a_successful_cholesky():
     q, r = kernels._tall_qr(x)
     expected = kernels._householder_qr(x)
     assert np.array_equal(q, expected.Q) and np.array_equal(r, expected.R)
-
-
-@pytest.mark.parametrize("p", [0, 1])
-def test_rank_deficient_sketch_collapses_to_its_rank(p):
-    with pytest.raises(RankCollapse) as exc:
-        rangefinder.power_basis_q(_rank3(5, 40, 30), 8, p, seed=0)
-    assert exc.value.achieved == 3
 
 
 @pytest.mark.parametrize("make", [lambda: _rank3(6, 50, 8),

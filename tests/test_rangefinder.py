@@ -3,7 +3,6 @@ import pytest
 
 from rlra import core, fixedrank, kernels, matgen, rangefinder
 from rlra.accessors import DenseAccessor, InstrumentedAccessor
-from rlra.errors import RankCollapse
 from projection_identities import subspace_angle
 
 
@@ -70,18 +69,22 @@ def test_lu_sketch_pass_count():
         assert acc.product_count == 2 * p + 1
 
 
-def test_rank_collapse_reports_achieved_width():
+def test_rank_deficient_q_basis_spans_the_range():
+    # rank 3 under a width-5 sketch: five orthonormal columns whose span
+    # holds range(A), to rounding
     a = np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    with pytest.raises(RankCollapse) as exc:
-        rangefinder.power_basis_q(a, 5, 0, seed=0)
-    assert exc.value.achieved == 3
-    assert exc.value.requested == 5
+    v = rangefinder.power_basis_q(a, 5, 0, seed=0).V
+    assert v.shape == (8, 5)
+    assert np.allclose(v.T @ v, np.eye(5), atol=1e-14)
+    assert core.fro_norm(a - v @ (v.T @ a)) <= 1e-14 * core.fro_norm(a)
 
 
-def test_rank_collapse_in_lu_path():
+def test_rank_deficient_lu_sketch_spans_the_range():
     a = np.diag([2.0, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0])
-    with pytest.raises(RankCollapse):
-        rangefinder.power_basis_lu_l(a, 5, 1, seed=0)
+    sk = rangefinder.power_basis_lu_l(a, 5, 1, seed=0)
+    assert sk.L.shape == (8, 5) and np.abs(sk.L).max() <= 1.0
+    q = kernels.eqr(core.apply_inv_row_perm(sk.p, sk.L)).Q
+    assert core.fro_norm(a - q @ (q.T @ a)) <= 1e-14 * core.fro_norm(a)
 
 
 def test_near_deficiency_passes_through():
@@ -174,7 +177,7 @@ def test_randlu_noreorth_chain_order(p):
     y = core.gaussian(5, 30, 12)
     for _ in range(p):
         y = acc.rmatmul(acc.matmul(y))
-    sk = rangefinder._final_sketch_lu(acc.matmul(y))
+    sk = kernels.plu(acc.matmul(y))
     want = fixedrank._assemble_from_sketch_lu(acc, sk, 6)
     got = fixedrank.randlu_noreorth(acc, 6, 6, p, seed=5)
     for name in ("p", "q", "L", "U"):
