@@ -73,16 +73,20 @@ def build_parser():
     f.add_argument("--out-prefix", dest="prefix")
     f.set_defaults(func=cmd_factor, parser=f)
 
-    a = sub.add_parser("adapt", help="fixed-precision factorization")
-    a.add_argument("--in", dest="infile", required=True)
-    a.add_argument("--tol", type=float, required=True)
-    a.add_argument("--block", type=int, default=10,
-                   help="block size; sets the default sketch width, 50 blocks")
-    a.add_argument("--l", type=int, help="sketch width (default min(50*block, min(m,n)))")
-    a.add_argument("--passes", type=int, default=4)
+    # the fixed-precision options of adapt and compress
+    precision = argparse.ArgumentParser(add_help=False)
+    precision.add_argument("--in", dest="infile", required=True)
+    precision.add_argument("--tol", type=float, required=True)
+    precision.add_argument("--block", type=int, default=10,
+                           help="block size; sets the default sketch width, 50 blocks")
+    precision.add_argument("--l", type=int,
+                           help="sketch width (default min(50*block, min(m,n)))")
+    precision.add_argument("--passes", type=int, default=4)
+    precision.add_argument("--seed", type=int, default=0)
+
+    a = sub.add_parser("adapt", parents=[precision], help="fixed-precision factorization")
     a.add_argument("--no-restart", action="store_true",
                    help="one attempt, exactly v passes (exit 3 if not converged)")
-    a.add_argument("--seed", type=int, default=0)
     a.add_argument("--out-prefix", dest="prefix")
     a.set_defaults(func=cmd_adapt)
 
@@ -96,15 +100,9 @@ def build_parser():
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_bench)
 
-    c = sub.add_parser("compress", help="low-rank PGM image compression")
-    c.add_argument("--in", dest="infile", required=True)
+    c = sub.add_parser("compress", parents=[precision],
+                       help="low-rank PGM image compression")
     c.add_argument("--out", required=True)
-    c.add_argument("--tol", type=float, required=True)
-    c.add_argument("--block", type=int, default=10,
-                   help="block size; sets the default sketch width, 50 blocks")
-    c.add_argument("--l", type=int)
-    c.add_argument("--passes", type=int, default=4)
-    c.add_argument("--seed", type=int, default=0)
     c.set_defaults(func=cmd_compress)
 
     return parser

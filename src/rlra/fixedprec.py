@@ -79,17 +79,14 @@ def adaptive_rank(a, params, seed):
     returns the full outcome with converged=False.
     """
     a = as_accessor(a)
-    m, n = a.shape
-    if params.l > min(m, n):
-        raise ValueError(f"sketch width {params.l} exceeds min{(m, n)}")
     basis = rangefinder.general_power_basis_v(a, params.l, params.v, seed)
-    g = a.matmul(basis.V)
+    g = a.matmul(basis)
     total = a.fro_norm() ** 2
     acc = params.eps**2 * total
     rank, e = refine_rank(g, total, acc)
     return AdaptiveOutcome(
         rank=rank,
-        V=basis.V[:, :rank],
+        V=basis[:, :rank],
         G=g[:, :rank],
         residual_energy=max(e, 0.0),
         converged=e <= acc,

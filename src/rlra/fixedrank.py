@@ -30,14 +30,13 @@ class LowRankLU:
     rank: int
 
 
-def _validate_rank(a, k, q_os):
-    m, n = a.shape
+def _validate_rank(k, q_os):
+    """Rank and oversampling checks; the width k + q_os is checked against
+    A's shape where the sketch is drawn (rangefinder.check_width)."""
     if k < 1:
         raise ValueError("target rank must be >= 1")
     if q_os < 0:
         raise ValueError("oversampling must be >= 0")
-    if k + q_os > min(m, n):
-        raise ValueError(f"sketch width {k + q_os} exceeds min{(m, n)}")
 
 
 def randsvd(a, k, q_os=10, p=1, seed=0, truncate=False):
@@ -58,16 +57,16 @@ def randsvd(a, k, q_os=10, p=1, seed=0, truncate=False):
     LowRankSVD with orthonormal U (m x l), S nonincreasing, V (n x l).
     """
     a = as_accessor(a)
-    _validate_rank(a, k, q_os)
-    basis = rangefinder.power_basis_q(a, k + q_os, p, seed)
+    _validate_rank(k, q_os)
+    q = rangefinder.power_basis_q(a, k + q_os, p, seed)
     # B^T = A^T Q in one pass; B^T = Q_B R_B and R_B^T = U_r S V_r^T give
     # B = U_r S (Q_B V_r)^T from an l x l SVD instead of one of the wide B
-    qb, rb = kernels._tall_qr(a.rmatmul(basis.V))
+    qb, rb = kernels.eqr(a.rmatmul(q))
     ur, s, vrt = np.linalg.svd(rb.T)
     vr = vrt.T
     if truncate:
         ur, s, vr = ur[:, :k], s[:k], vr[:, :k]
-    return LowRankSVD(basis.V @ ur, s, qb @ vr)
+    return LowRankSVD(q @ ur, s, qb @ vr)
 
 
 def randlu(a, k, q_os=10, p=1, seed=0):
@@ -82,7 +81,7 @@ def randlu(a, k, q_os=10, p=1, seed=0):
     k >= rank(A) the error is at rounding level.
     """
     a = as_accessor(a)
-    _validate_rank(a, k, q_os)
+    _validate_rank(k, q_os)
     sk = rangefinder.power_basis_lu_l(a, k + q_os, p, seed)
     return _assemble_from_sketch_lu(a, sk, k)
 
@@ -95,7 +94,8 @@ def randlu_noreorth(a, k, q_os=10, p=1, seed=0):
     and same post-sketch assembly as randlu.
     """
     a = as_accessor(a)
-    _validate_rank(a, k, q_os)
+    _validate_rank(k, q_os)
+    rangefinder.check_width(a, k + q_os)
     om = core.gaussian(seed, a.shape[1], k + q_os)
     raw = rangefinder._power_chain(a, om, 2 * p + 1, lambda x: x)
     return _assemble_from_sketch_lu(a, kernels.plu(raw), k)
@@ -118,11 +118,8 @@ def powerlu(a, k, q_os=10, v=3, seed=0):
     LUs.  Works for any pass budget v >= 2.
     """
     a = as_accessor(a)
-    _validate_rank(a, k, q_os)
-    if v < 2:
-        raise ValueError("pass budget v must be >= 2")
-    basis = rangefinder.general_power_basis_v(a, k + q_os, v, seed)
-    vk = basis.V[:, :k]
+    _validate_rank(k, q_os)
+    vk = rangefinder.general_power_basis_v(a, k + q_os, v, seed)[:, :k]
     return lu_from_projection(a.matmul(vk), vk)
 
 

@@ -1,7 +1,7 @@
 """Dense factorization kernels: pivoted LU, economy QR, pseudoinverse solves.
 
-The LU elimination runs on LAPACK getrf through rlra.backend.  QR of a
-tall matrix is CholeskyQR2 (two Gram / Cholesky / GEMM sweeps) when a
+The LU elimination runs on LAPACK getrf through rlra.backend.  Every QR
+goes through eqr: CholeskyQR2 (two Gram / Cholesky / GEMM sweeps) when a
 certificate shows it is accurate, and Householder QR on LAPACK otherwise;
 SVD is delegated to LAPACK.  All shapes are economy: r = min(m, n).
 """
@@ -73,7 +73,7 @@ def _householder_qr(a):
 
     The same factors as np.linalg.qr(a, mode="reduced") (bitwise, on one
     BLAS thread) in the same layout, without its gufunc copies.  The
-    fallback of _tall_qr, for wide, ill-conditioned or rank-deficient input.
+    fallback of eqr, for wide, ill-conditioned or rank-deficient input.
     """
     a = np.asarray(a, dtype=np.float64)
     q, r = qr(a, mode="economic", check_finite=False)
@@ -90,8 +90,9 @@ def _chol_inv(g):
     return None if info else (r, rinv)
 
 
-def _tall_qr(a):
-    """Economy QR of a tall matrix by CholeskyQR2, else Householder.
+def eqr(a):
+    """Economy QR by CholeskyQR2, else Householder: Q has orthonormal
+    columns, R is upper triangular.
 
     First sweep: R1 = chol(X^T X), Q1 = X R1^{-1}.  It is kept only when
     ||Q1^T Q1 - I||_F <= CHOLQR_CERTIFICATE; Q1^T Q1 is then the second
@@ -102,7 +103,8 @@ def _tall_qr(a):
     20000 x 40 sketch, one thread.  A wide input, a failed Cholesky (an
     overflowing or underflowing Gram included) or a failed certificate
     (NaN included) returns _householder_qr(a) unchanged; an exactly
-    rank-deficient input never passes the certificate.
+    rank-deficient input never passes the certificate.  The range bases,
+    pinv_factor and randsvd's final SVD all take their QR from here.
     """
     a = np.asarray(a, dtype=np.float64)
     m, n = a.shape
@@ -121,17 +123,6 @@ def _tall_qr(a):
     return _householder_qr(a)
 
 
-def eqr(a):
-    """Economy QR of a range-basis sketch (see _tall_qr).
-
-    Q has orthonormal columns; R is upper triangular, with a positive
-    diagonal on the CholeskyQR2 path.  pinv_factor and randsvd call
-    _tall_qr directly, so that eqr, which the benchmark's tracer times by
-    name, covers the range-basis QRs alone.
-    """
-    return _tall_qr(a)
-
-
 def pinv_factor(l):
     """Economy QR of a tall full-column-rank matrix, validated for pinv solves.
 
@@ -142,7 +133,7 @@ def pinv_factor(l):
     l = np.asarray(l, dtype=np.float64)
     if l.shape[0] < l.shape[1]:
         raise ValueError(f"need a tall matrix, got {l.shape}")
-    q, r = _tall_qr(l)
+    q, r = eqr(l)
     if np.abs(np.diag(r)).min(initial=np.inf) <= PINV_RTOL * core.fro_norm(l):
         raise IllPosedPseudoinverse(
             f"matrix of shape {l.shape} is numerically rank-deficient"

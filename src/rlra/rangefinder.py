@@ -12,24 +12,17 @@ products and in the factorization of the last one:
 - fixedrank.randlu_noreorth: no renormalization at all.
 
 Interior LU renormalizations keep only the row-unpermuted L factor, which
-preserves the span exactly when the sketch has full column rank.  No width
-is checked: when A has rank below l, L (unit lower, every entry at most 1
-in magnitude) and QR's Q still have l columns, and each dependent direction
-is a bounded extra column, like one more oversampling column.  Pass
-accounting is strict: one accessor product equals one pass.
+preserves the span exactly when the sketch has full column rank.  The
+width l is checked against A's shape only (check_width, the library's one
+width check), never against its rank: when A has rank below l, L (unit
+lower, every entry at most 1 in magnitude) and QR's Q still have l columns,
+and each dependent direction is a bounded extra column, like one more
+oversampling column.  Pass accounting is strict: one accessor product
+equals one pass.
 """
-
-from typing import NamedTuple
-
-import numpy as np
 
 from . import core, kernels
 from .accessors import as_accessor
-
-
-class RangeBasis(NamedTuple):
-    V: np.ndarray  # orthonormal columns (n x l for row-space, m x l for column-space)
-    passes_used: int
 
 
 def _lu_basis(x):
@@ -39,10 +32,12 @@ def _lu_basis(x):
     return core.apply_inv_row_perm(f.p, f.L)
 
 
-def _validate(a, l):
+def check_width(a, l):
+    """The one sketch-width check, run before any product of A or column
+    read: l must lie in 1..min(m, n) of a's shape."""
     m, n = a.shape
     if not 1 <= l <= min(m, n):
-        raise ValueError(f"sketch width l={l} outside 1..min{(m, n)}")
+        raise ValueError(f"sketch width {l} outside 1..min{(m, n)}")
 
 
 def _power_chain(a, x, products, renorm, transpose_first=False):
@@ -61,17 +56,18 @@ def _power_chain(a, x, products, renorm, transpose_first=False):
 
 
 def power_basis_q(a, l, p, seed):
-    """Column-space basis Q of (A A^T)^p A Omega, QR at every step.
+    """Column-space basis of (A A^T)^p A Omega, QR at every step.
 
-    Consumes exactly 2p + 1 passes.
+    Returns Q, m x l with orthonormal columns.  Consumes exactly 2p + 1
+    passes.
     """
     a = as_accessor(a)
-    _validate(a, l)
+    check_width(a, l)
     if p < 0:
         raise ValueError("p must be >= 0")
     om = core.gaussian(seed, a.shape[1], l)
     y = _power_chain(a, om, 2 * p + 1, lambda x: kernels.eqr(x).Q)
-    return RangeBasis(kernels.eqr(y).Q, 2 * p + 1)
+    return kernels.eqr(y).Q
 
 
 def power_basis_lu_l(a, l, p, seed):
@@ -83,7 +79,7 @@ def power_basis_lu_l(a, l, p, seed):
     (in exact arithmetic).  Consumes exactly 2p + 1 passes.
     """
     a = as_accessor(a)
-    _validate(a, l)
+    check_width(a, l)
     if p < 0:
         raise ValueError("p must be >= 0")
     om = core.gaussian(seed, a.shape[1], l)
@@ -94,15 +90,16 @@ def general_power_basis_v(a, l, v, seed):
     """Row-space basis for any pass budget v >= 2.
 
     Odd v: basis of (A^T A)^{(v-1)/2} Omega with Omega n x l.  Even v: basis
-    of (A^T A)^{floor((v-1)/2)} A^T Omega with Omega m x l.  Consumes
-    exactly v - 1 passes; the caller's A @ V spends the final one.
+    of (A^T A)^{floor((v-1)/2)} A^T Omega with Omega m x l.  Returns V,
+    n x l with orthonormal columns.  Consumes exactly v - 1 passes; the
+    caller's A @ V spends the final one.
     """
     a = as_accessor(a)
-    _validate(a, l)
+    check_width(a, l)
     if v < 2:
         raise ValueError("pass budget v must be >= 2")
     m, n = a.shape
     even = v % 2 == 0
     om = core.gaussian(seed, m if even else n, l)
     y = _power_chain(a, om, v - 1, _lu_basis, transpose_first=even)
-    return RangeBasis(kernels.eqr(y).Q, v - 1)
+    return kernels.eqr(y).Q

@@ -49,7 +49,7 @@ def test_criterion_01_factorization_matches_projected_sketch():
     worst = 0.0
     for seed in range(20):
         f = fixedrank.powerlu(acc, 30, q_os=10, v=3, seed=seed)
-        vk = rangefinder.general_power_basis_v(acc, 40, 3, seed).V[:, :30]
+        vk = rangefinder.general_power_basis_v(acc, 40, 3, seed)[:, :30]
         lhs = core.fro_norm(a[f.p, :][:, f.q] - f.L @ f.U)
         rhs = core.fro_norm(a - a @ vk @ vk.T)
         worst = max(worst, abs(lhs - rhs))
@@ -200,7 +200,7 @@ def test_criterion_09_expectation_bounds_hold():
     errs = {3: [], 4: []}
     for seed in range(20):
         for v in (3, 4):
-            basis = rangefinder.general_power_basis_v(a, 30, v, seed).V
+            basis = rangefinder.general_power_basis_v(a, 30, v, seed)
             errs[v].append(spec_norm(a - a @ basis @ basis.T))
     mean3, mean4 = np.mean(errs[3]), np.mean(errs[4])
     ok = mean3 <= bound(2) and mean4 <= bound(3) and mean4 <= bound(2)

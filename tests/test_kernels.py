@@ -121,7 +121,7 @@ def test_tall_qr_certified_path(monkeypatch, m, n):
 
     monkeypatch.setattr(kernels, "_householder_qr", refuse)
     x = core.gaussian(m + n, m, n)
-    q, r = kernels._tall_qr(x)
+    q, r = kernels.eqr(x)
     assert q.shape == (m, n) and r.shape == (n, n) and q.flags.c_contiguous
     assert np.linalg.norm(q.T @ q - np.eye(n)) <= 1e-13
     assert np.linalg.norm(q @ r - x) <= 1e-14 * np.linalg.norm(x)
@@ -140,7 +140,7 @@ FALLBACK = [
 @pytest.mark.parametrize("make", FALLBACK)
 def test_tall_qr_falls_back_to_householder(make):
     x = make()
-    q, r = kernels._tall_qr(x)
+    q, r = kernels.eqr(x)
     expected = kernels._householder_qr(x)
     assert np.array_equal(q, expected.Q) and np.array_equal(r, expected.R)
 
@@ -153,7 +153,7 @@ def test_tall_qr_certificate_rejects_a_successful_cholesky():
     assert first is not None
     q1 = x @ first[1]
     assert np.linalg.norm(q1.T @ q1 - np.eye(110)) > kernels.CHOLQR_CERTIFICATE
-    q, r = kernels._tall_qr(x)
+    q, r = kernels.eqr(x)
     expected = kernels._householder_qr(x)
     assert np.array_equal(q, expected.Q) and np.array_equal(r, expected.R)
 

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from rlra import core, fixedrank, kernels, matgen, rangefinder
+from rlra import core, fixedprec, fixedrank, kernels, matgen, rangefinder, singlepass
 from rlra.accessors import DenseAccessor, InstrumentedAccessor
 from projection_identities import subspace_angle
 
@@ -9,10 +11,9 @@ from projection_identities import subspace_angle
 @pytest.mark.parametrize("p", [0, 1, 2])
 def test_power_basis_q_orthonormal_and_pass_count(p):
     acc = InstrumentedAccessor(core.gaussian(10 + p, 40, 25))
-    basis = rangefinder.power_basis_q(acc, 8, p, seed=0)
-    assert basis.V.shape == (40, 8)
-    assert np.allclose(basis.V.T @ basis.V, np.eye(8), atol=1e-12)
-    assert basis.passes_used == 2 * p + 1
+    q = rangefinder.power_basis_q(acc, 8, p, seed=0)
+    assert q.shape == (40, 8)
+    assert np.allclose(q.T @ q, np.eye(8), atol=1e-12)
     assert acc.product_count == 2 * p + 1
 
 
@@ -20,9 +21,8 @@ def test_power_basis_q_orthonormal_and_pass_count(p):
 def test_general_power_basis_v_orthonormal_and_pass_count(v):
     acc = InstrumentedAccessor(core.gaussian(20 + v, 40, 25))
     basis = rangefinder.general_power_basis_v(acc, 8, v, seed=0)
-    assert basis.V.shape == (25, 8)
-    assert np.allclose(basis.V.T @ basis.V, np.eye(8), atol=1e-12)
-    assert basis.passes_used == v - 1
+    assert basis.shape == (25, 8)
+    assert np.allclose(basis.T @ basis, np.eye(8), atol=1e-12)
     assert acc.product_count == v - 1
 
 
@@ -31,11 +31,11 @@ def test_two_pass_basis_is_qr_of_transpose_sketch():
     basis = rangefinder.general_power_basis_v(acc, 6, 2, seed=9)
     om = core.gaussian(9, 35, 6)
     y = acc.rmatmul(om)
-    assert np.array_equal(basis.V, kernels.eqr(y).Q)
+    assert np.array_equal(basis, kernels.eqr(y).Q)
     # the same basis as Householder QR, up to the sign of each column
     q, _ = np.linalg.qr(y)
-    q *= np.sign(np.sum(q * basis.V, axis=0))
-    assert np.abs(basis.V - q).max() <= 1e-13
+    q *= np.sign(np.sum(q * basis, axis=0))
+    assert np.abs(basis - q).max() <= 1e-13
 
 
 def test_lu_sketch_p0_reproduces_sample_matrix():
@@ -73,7 +73,7 @@ def test_rank_deficient_q_basis_spans_the_range():
     # rank 3 under a width-5 sketch: five orthonormal columns whose span
     # holds range(A), to rounding
     a = np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    v = rangefinder.power_basis_q(a, 5, 0, seed=0).V
+    v = rangefinder.power_basis_q(a, 5, 0, seed=0)
     assert v.shape == (8, 5)
     assert np.allclose(v.T @ v, np.eye(5), atol=1e-14)
     assert core.fro_norm(a - v @ (v.T @ a)) <= 1e-14 * core.fro_norm(a)
@@ -92,9 +92,9 @@ def test_near_deficiency_passes_through():
     # detector: the basis stays full width and usable
     sig = np.concatenate([np.ones(5), np.full(15, 1e-13)])
     a, _ = matgen.gen_decay("custom", 30, 20, seed=3, sigma=sig)
-    basis = rangefinder.power_basis_q(a, 10, 1, seed=0)
-    assert basis.V.shape == (30, 10)
-    assert np.allclose(basis.V.T @ basis.V, np.eye(10), atol=1e-12)
+    q = rangefinder.power_basis_q(a, 10, 1, seed=0)
+    assert q.shape == (30, 10)
+    assert np.allclose(q.T @ q, np.eye(10), atol=1e-12)
 
 
 def test_width_validation():
@@ -109,6 +109,37 @@ def test_width_validation():
         rangefinder.general_power_basis_v(a, 4, 1, seed=0)
 
 
+# every entry point that draws a sketch, on a 30 x 25 source (an
+# instrumented accessor, or a column stream) with a bad width: k + q_os,
+# PrecisionParams.l or stream_sketch's k
+ACC, STREAM = InstrumentedAccessor, singlepass.DenseColumnStream
+BAD_WIDTH = [
+    pytest.param(ACC, lambda a: fixedrank.randsvd(a, 20, q_os=6), 26, id="randsvd"),
+    pytest.param(ACC, lambda a: fixedrank.randlu(a, 20, q_os=6), 26, id="randlu"),
+    pytest.param(ACC, lambda a: fixedrank.randlu_noreorth(a, 20, q_os=6), 26,
+                 id="randlu_noreorth"),
+    pytest.param(ACC, lambda a: fixedrank.powerlu(a, 25, q_os=1, v=2), 26, id="powerlu"),
+    pytest.param(ACC, lambda a: fixedprec.powerlu_fp(
+        a, fixedprec.PrecisionParams(1e-2, 10, 30, 4), 0), 30, id="powerlu_fp"),
+    pytest.param(STREAM, lambda s: singlepass.single_pass_lu(s, 20, 0, q_os=6), 26,
+                 id="single_pass_lu"),
+    pytest.param(STREAM, lambda s: singlepass.stream_sketch(s, 26, 0), 26,
+                 id="stream_sketch-wide"),
+    pytest.param(STREAM, lambda s: singlepass.stream_sketch(s, 0, 0), 0,
+                 id="stream_sketch-zero"),
+]
+
+
+@pytest.mark.parametrize("wrap,call,width", BAD_WIDTH)
+def test_bad_width_is_one_message_before_any_read(wrap, call, width):
+    source = wrap(core.gaussian(7, 30, 25))
+    message = f"sketch width {width} outside 1..min(30, 25)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(source)
+    reads = source.columns_pulled if wrap is STREAM else source.product_count
+    assert reads == 0
+
+
 def test_mean_error_improves_with_pass_budget():
     # statistical: more passes may not help every draw, but the 20-seed mean
     # must be nonincreasing (slack 1.05) as the budget grows 2 -> 3 -> 4 -> 6
@@ -118,7 +149,7 @@ def test_mean_error_improves_with_pass_budget():
         errs = []
         for seed in range(20):
             basis = rangefinder.general_power_basis_v(a, 30, v, seed)
-            errs.append(core.fro_norm(a - a @ basis.V @ basis.V.T))
+            errs.append(core.fro_norm(a - a @ basis @ basis.T))
         means.append(np.mean(errs))
     for worse, better in zip(means, means[1:]):
         assert better <= 1.05 * worse
@@ -150,7 +181,7 @@ def test_general_power_basis_v_chain_order(v):
         if i:
             x = _lu_l(x)
         x = acc.rmatmul(x) if (i + v) % 2 == 0 else acc.matmul(x)
-    assert np.array_equal(rangefinder.general_power_basis_v(acc, 8, v, seed=3).V, _q(x))
+    assert np.array_equal(rangefinder.general_power_basis_v(acc, 8, v, seed=3), _q(x))
 
 
 @pytest.mark.parametrize("p", [0, 1, 2])
@@ -163,7 +194,7 @@ def test_power_basis_chain_order(p):
     for _ in range(p):
         yq = acc.matmul(_q(acc.rmatmul(_q(yq))))
         ylu = acc.matmul(_lu_l(acc.rmatmul(_lu_l(ylu))))
-    assert np.array_equal(rangefinder.power_basis_q(acc, 8, p, seed=4).V, _q(yq))
+    assert np.array_equal(rangefinder.power_basis_q(acc, 8, p, seed=4), _q(yq))
     sk = rangefinder.power_basis_lu_l(acc, 8, p, seed=4)
     f = kernels.plu(ylu)
     assert all(np.array_equal(x, y) for x, y in zip(sk, (f.L, f.U, f.p)))
