@@ -66,7 +66,8 @@ def build_parser():
     f.add_argument("--alg", required=True, choices=list(FIXED_RANK))
     f.add_argument("--rank", type=int, required=True)
     f.add_argument("--oversample", type=int,
-                   help="default: the driver's own, 10 (0 for singlepass)")
+                   help="default: the driver's own, 10 (0 for singlepass); changes the "
+                        "result of randsvd and singlepass only")
     f.add_argument("--passes", type=int,
                    help="pass budget v >= 2, even for the exponent drivers (p = (v - 2) / 2)")
     f.add_argument("--seed", type=int, default=0)

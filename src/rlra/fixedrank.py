@@ -2,7 +2,9 @@
 
 All three share the sketch machinery in rangefinder and consume a strict
 pass budget: 2p + 2 products for the SVD and LU drivers at exponent p, and
-exactly v products for the pass-parameterized LU driver.
+exactly v products for the pass-parameterized LU driver.  The LU drivers
+sketch at width k, since their factors use only the first k sketch
+columns; the oversampling q_os widens randsvd's sketch alone.
 """
 
 from dataclasses import dataclass
@@ -32,7 +34,7 @@ class LowRankLU:
 
 def _validate_rank(k, q_os):
     """Rank and oversampling checks; the width k + q_os is checked against
-    A's shape where the sketch is drawn (rangefinder.check_width)."""
+    A's shape by rangefinder.check_width, before any product."""
     if k < 1:
         raise ValueError("target rank must be >= 1")
     if q_os < 0:
@@ -70,56 +72,69 @@ def randsvd(a, k, q_os=10, p=1, seed=0, truncate=False):
 
 
 def randlu(a, k, q_os=10, p=1, seed=0):
-    """Randomized LU: LU-stabilized sketch, truncation to k, pivoted assembly.
+    """Randomized LU: LU-stabilized sketch of width k, pivoted assembly.
 
-    The sketch L factor is cut to its first k columns; B = L_y^+ P A is formed
-    through the accessor (one transpose product); the column-pivoted step is a
-    partial-pivot LU of B^T.  2p + 2 passes total.
+    The sketch's L factor L_y is m x k; B = L_y^+ P A is formed through the
+    accessor (one transpose product); the column-pivoted step is a
+    partial-pivot LU of B^T.  2p + 2 passes total, every product k wide.
 
-    A of rank below k + q_os still gets its factors: the sketch's L is unit
-    lower with entries at most 1 whatever the sketch's rank, and at
-    k >= rank(A) the error is at rounding level.
+    q_os is validated, and k + q_os checked against A's shape, but it
+    changes neither the factors nor the cost: the Gaussian fills column by
+    column and partial-pivot LU is a column prefix map (the row-unpermuted
+    L[:, :k] depends only on the first k columns of its input), so
+    oversampling columns would never reach L_y.
+
+    A of rank below k still gets its factors: the sketch's L is unit lower
+    with entries at most 1 whatever the sketch's rank, and at k >= rank(A)
+    the error is at rounding level.
     """
     a = as_accessor(a)
     _validate_rank(k, q_os)
-    sk = rangefinder.power_basis_lu_l(a, k + q_os, p, seed)
-    return _assemble_from_sketch_lu(a, sk, k)
+    rangefinder.check_width(a, k + q_os)
+    return _assemble_from_sketch_lu(a, rangefinder.power_basis_lu_l(a, k, p, seed))
 
 
 def randlu_noreorth(a, k, q_os=10, p=1, seed=0):
     """randlu with the raw sketch A (A^T A)^p Omega, no stabilization.
 
     The baseline variant: round-off drowns the small singular directions as
-    p grows, which is what reorthogonalization prevents.  Same pass budget
-    and same post-sketch assembly as randlu.
+    p grows, which is what reorthogonalization prevents.  Same pass budget,
+    same k-wide sketch, same q_os handling and same post-sketch assembly as
+    randlu.
     """
     a = as_accessor(a)
     _validate_rank(k, q_os)
     rangefinder.check_width(a, k + q_os)
-    om = core.gaussian(seed, a.shape[1], k + q_os)
+    om = core.gaussian(seed, a.shape[1], k)
     raw = rangefinder._power_chain(a, om, 2 * p + 1, lambda x: x)
-    return _assemble_from_sketch_lu(a, kernels.plu(raw), k)
+    return _assemble_from_sketch_lu(a, kernels.plu(raw))
 
 
-def _assemble_from_sketch_lu(a, sk, k):
-    ly = sk.L[:, :k]
-    qy, ry = kernels.pinv_factor(ly)
+def _assemble_from_sketch_lu(a, sk):
+    qy, ry = kernels.pinv_factor(sk.L)
     # B = L_y^+ P A = R^{-1} (P^T Q)^T A, read through one transpose product
     c = a.rmatmul(core.apply_inv_row_perm(sk.p, qy))
     b = solve_triangular(ry, c.T, lower=False)
-    return column_pivot_assembly(ly, sk.p, b.T)
+    return column_pivot_assembly(sk.L, sk.p, b.T)
 
 
 def powerlu(a, k, q_os=10, v=3, seed=0):
     """Pass-parameterized randomized LU.
 
-    Builds a row-space basis with v - 1 products, spends the last pass on
-    Y = A V(:, 1:k), and assembles the factorization from two small pivoted
+    Builds a k-wide row-space basis V with v - 1 products, spends the last
+    pass on Y = A V, and assembles the factorization from two small pivoted
     LUs.  Works for any pass budget v >= 2.
+
+    q_os is validated, and k + q_os checked against A's shape, but it
+    changes neither the factors nor the cost: the Gaussian fills column by
+    column and the interior LUs and the final QR are column prefix maps,
+    so the first k columns of a wider basis equal this basis up to
+    rounding, and oversampling columns would never reach the factors.
     """
     a = as_accessor(a)
     _validate_rank(k, q_os)
-    vk = rangefinder.general_power_basis_v(a, k + q_os, v, seed)[:, :k]
+    rangefinder.check_width(a, k + q_os)
+    vk = rangefinder.general_power_basis_v(a, k, v, seed)
     return lu_from_projection(a.matmul(vk), vk)
 
 

@@ -40,15 +40,18 @@ class LowRankSVD(NamedTuple):
     V: np.ndarray  # n x k
 
 
-def plu(a):
-    """Partial-pivot LU: returns (L, U, p) with A[p, :] = L @ U.
+def plu_work(a):
+    """Partial-pivot LU with L left in the elimination's work array.
 
-    The pivot is the max-magnitude entry of the active column, so every
-    multiplier is at most 1 in magnitude.  Rank-deficient input is handled
-    without error: a dependent column leaves a zero or round-off sized
-    pivot, which nothing downstream reads as a rank decision.  The input
-    is copied once, into the F-ordered work array; L and U are C-ordered
-    copies of its two triangles.
+    The one elimination path: the input is copied once, into an F-ordered
+    work array, factored in place by getrf, and its triangles are tidied.
+    Returns (L, U, p) with A[p, :] = L @ U, where L is the unit-lower view
+    lu[:, :r] of the F-ordered work array and U a copy of its upper
+    triangle.  The pivot is the max-magnitude entry of the active column,
+    so every multiplier is at most 1 in magnitude.  Rank-deficient input
+    is handled without error: a dependent column leaves a zero or
+    round-off sized pivot, which nothing downstream reads as a rank
+    decision.
     """
     lu = np.array(a, dtype=np.float64, order="F")
     if lu.ndim != 2:
@@ -58,14 +61,22 @@ def plu(a):
     backend.plu_inplace(lu, piv)
     r = min(m, n)
     U = np.triu(lu[:r, :])
-    # L is unpacked over the work array (U is copied out first), then copied
-    # C-ordered: small BLAS products round differently per layout, and the
-    # drivers' factors are pinned to this one
+    # L is unpacked over the work array, after U is copied out
     for j in range(1, r):
         lu[:j, j] = 0.0
     lu[np.arange(r), np.arange(r)] = 1.0
-    L = np.array(lu[:, :r], order="C")
-    return PivotedLU(L, U, piv)
+    return PivotedLU(lu[:, :r], U, piv)
+
+
+def plu(a):
+    """Partial-pivot LU: returns (L, U, p) with A[p, :] = L @ U.
+
+    plu_work's factors with L copied C-ordered: small BLAS products round
+    differently per layout, and the drivers' factors are pinned to this
+    one.
+    """
+    f = plu_work(a)
+    return PivotedLU(np.array(f.L, order="C"), f.U, f.p)
 
 
 def _householder_qr(a):

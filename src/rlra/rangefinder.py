@@ -21,15 +21,20 @@ oversampling column.  Pass accounting is strict: one accessor product
 equals one pass.
 """
 
+import numpy as np
+
 from . import core, kernels
 from .accessors import as_accessor
 
 
 def _lu_basis(x):
     """Row-unpermuted L of lu(x): spans what x spans, and more when x has
-    dependent columns."""
-    f = kernels.plu(x)
-    return core.apply_inv_row_perm(f.p, f.L)
+    dependent columns.  Written straight from the elimination's work array
+    into one C-ordered array, the layout plu gives its L."""
+    f = kernels.plu_work(x)
+    out = np.empty(f.L.shape)
+    out[f.p] = f.L
+    return out
 
 
 def check_width(a, l):

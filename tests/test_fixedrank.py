@@ -228,3 +228,43 @@ def test_non_finite_input_raises(driver, bad):
     a[17, 11] = bad
     with pytest.raises(NonFiniteInput, match="NaN or infinite"):
         driver(a)
+
+
+class WidthRecorder(InstrumentedAccessor):
+    """Counts products and records the width of each one."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.widths = []
+
+    def matmul(self, x):
+        self.widths.append(x.shape[1])
+        return super().matmul(x)
+
+    def rmatmul(self, x):
+        self.widths.append(x.shape[1])
+        return super().rmatmul(x)
+
+
+LU_DRIVERS = (
+    [pytest.param(lambda a, k, q, v=v: fixedrank.powerlu(a, k, q, v=v, seed=3), v,
+                  id=f"powerlu-v{v}") for v in (2, 3, 4, 5)]
+    + [pytest.param(lambda a, k, q, fn=fn, p=p: fn(a, k, q, p=p, seed=3), 2 * p + 2,
+                    id=f"{fn.__name__}-p{p}")
+       for fn in (fixedrank.randlu, fixedrank.randlu_noreorth) for p in (0, 1, 2)]
+)
+
+
+@pytest.mark.parametrize("call,passes", LU_DRIVERS)
+def test_lu_drivers_sketch_only_k_columns(call, passes):
+    # every product is k wide whatever q_os, and oversampling leaves the
+    # factors bitwise as they are without it
+    a, _ = matgen.gen_decay("slow", 60, 50, seed=1)
+    k = 8
+    got = {}
+    for q_os in (0, 10):
+        acc = WidthRecorder(a)
+        got[q_os] = call(acc, k, q_os)
+        assert acc.widths == [k] * passes
+    for name in ("p", "q", "L", "U"):
+        assert np.array_equal(getattr(got[10], name), getattr(got[0], name))

@@ -202,14 +202,29 @@ def test_power_basis_chain_order(p):
 
 @pytest.mark.parametrize("p", [0, 1, 2])
 def test_randlu_noreorth_chain_order(p):
-    # the raw chain A (A^T A)^p Omega with no renormalization, then the
-    # same post-sketch assembly as randlu
+    # the raw k-wide chain A (A^T A)^p Omega with no renormalization, then
+    # the same post-sketch assembly as randlu
     acc = _chain_input(p)
-    y = core.gaussian(5, 30, 12)
+    y = core.gaussian(5, 30, 6)
     for _ in range(p):
         y = acc.rmatmul(acc.matmul(y))
     sk = kernels.plu(acc.matmul(y))
-    want = fixedrank._assemble_from_sketch_lu(acc, sk, 6)
+    want = fixedrank._assemble_from_sketch_lu(acc, sk)
     got = fixedrank.randlu_noreorth(acc, 6, 6, p, seed=5)
     for name in ("p", "q", "L", "U"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("kind", ["slow", "fast", "sshaped"])
+@pytest.mark.parametrize("k", [10, 30])
+def test_renormalizations_are_column_prefix_maps(kind, k):
+    # why the LU drivers sketch at width k: the first k columns of a
+    # renormalized 40-wide sketch are the renormalized k-column prefix
+    a, _ = matgen.gen_decay(kind, 400, 300, seed=1)
+    y = a @ core.gaussian(1, 300, 40)
+
+    def rel(x, y):
+        return core.fro_norm(x - y) / core.fro_norm(y)
+
+    assert rel(rangefinder._lu_basis(y)[:, :k], rangefinder._lu_basis(y[:, :k])) <= 1e-13
+    assert rel(kernels.eqr(y).Q[:, :k], kernels.eqr(y[:, :k]).Q) <= 1e-13

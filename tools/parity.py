@@ -10,15 +10,20 @@ file streams with q_os 0 and 5, on fast 300x200, slow 500^2 and sparse
 600x400 matrices and at the benchmark shapes (2000^2 fast, 8000x2000 slow,
 20000^2 sparse).  Every output array is stored under
 `driver|matrix|params|seed|field`; a raised error is stored as its text.
+Each LU result also stores the field `probe`, A_k @ Z for its m x n
+reconstruction A_k and a fixed Gaussian Z (n x 4): the permutations are
+undone, so two runs whose factors differ only in pivot order have probes
+that agree to rounding.
 BLAS is pinned to one thread, so a dump is reproducible.  The benchmark
 shapes take about a minute and 1 GB.
 
 `compare` prints, per driver and per matrix, how many arrays differ and the
 worst relative Frobenius difference among the floating-point ones, plain
-and up to column signs; it exits 1 when any array differs.  Singular
-vectors and QR bases are unique only up to the sign of each column, so two
-correct runs whose QRs differ in method (Householder against CholeskyQR2)
-differ by about sqrt(2) plain and by rounding up to signs.
+and up to column signs, then the same for the LU probes alone, per driver;
+it exits 1 when any array differs.  Singular vectors and QR bases are
+unique only up to the sign of each column, so two correct runs whose QRs
+differ in method (Householder against CholeskyQR2) differ by about sqrt(2)
+plain and by rounding up to signs.
 """
 
 import os
@@ -37,6 +42,7 @@ import numpy as np  # noqa: E402
 
 EPS_GRID = (0.999, 0.1, 1e-2, 1e-3)
 DRAW_SEEDS = (0, 1)
+PROBE_SEED, PROBE_COLUMNS = 12345, 4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,6 +80,21 @@ def result_fields(result):
         return [(f"{i}.{name}", arr) for i, part in enumerate(result)
                 for name, arr in result_fields(part)]
     return [(name, np.asarray(getattr(result, name))) for name in names]
+
+
+def lu_probe(result, z):
+    """A_k @ Z for the LowRankLU in a driver result (the result itself or
+    the first part of a plain tuple), or None for an SVD.
+
+    A_k[p, :][:, q] = L @ U, so (A_k @ Z)[p] = L @ (U @ Z[q]): the
+    permutations are undone without forming A_k.
+    """
+    f = result[0] if type(result) is tuple else result
+    if not dataclasses.is_dataclass(f):
+        return None
+    out = np.empty((f.L.shape[0], z.shape[1]))
+    out[f.p] = f.L @ (f.U @ z[f.q])
+    return out
 
 
 def driver_runs(case, a, workdir):
@@ -124,11 +145,16 @@ def dump(src, out):
                 else:
                     a, _ = matgen.gen_decay(case.kind, case.m, case.n, mseed)
                 matrix = f"{case.name}/m{mseed}"
+                z = np.random.default_rng(PROBE_SEED).standard_normal((case.n, PROBE_COLUMNS))
                 for driver, params, call in driver_runs(case, a, workdir):
                     for s in DRAW_SEEDS:
                         key = f"{driver}|{matrix}|{params}|s{s}"
                         try:
-                            fields = result_fields(call(s))
+                            result = call(s)
+                            fields = result_fields(result)
+                            probe = lu_probe(result, z)
+                            if probe is not None:
+                                fields.append(("probe", probe))
                         except Exception as exc:  # an error is a result too
                             fields = [("error", np.array(f"{type(exc).__name__}: {exc}"))]
                         for name, arr in fields:
@@ -162,15 +188,18 @@ def worst(diffs):
 def compare(before, after):
     with np.load(before) as fa, np.load(after) as fb:
         x, y = dict(fa), dict(fb)
-    groups = {"driver": defaultdict(list), "matrix": defaultdict(list)}
+    groups = {"driver": defaultdict(list), "matrix": defaultdict(list),
+              "LU probe": defaultdict(list)}
     for key in sorted(set(x) | set(y)):
-        driver, matrix = key.split("|")[:2]
+        driver, matrix, *_, field = key.split("|")
         if key in x and key in y:
             d = (difference(x[key], y[key]), difference(x[key], y[key], signs=True))
         else:
             d = (float("nan"), float("nan"))
         groups["driver"][driver].append(d)
         groups["matrix"][matrix.split("/")[0]].append(d)
+        if field == "probe":
+            groups["LU probe"][driver].append(d)
     any_diff = False
     for by, table in groups.items():
         print(f"{by:<20} {'arrays':>7} {'differ':>7} {'worst rel diff':>15} "
