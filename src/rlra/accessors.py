@@ -7,8 +7,8 @@ the pass budgets are asserted.  The dense and sparse accessors reject a
 product with NaN or infinite entries (NonFiniteInput); the check reads only
 the product, never A.  Dense products are computed as (X^T A^T)^T, so that
 the long side of the result leads in the GEMM (OpenBLAS runs a short
-leading side up to 2.5x slower), and copied back to the C-ordered layout
-that A @ X has: the drivers' small products round differently per layout.
+leading side up to 2.5x slower), and handed back as the GEMM wrote them:
+F-ordered, with no copy.
 
 Sparse products run over cached bands of A: row bands of A in CSC for
 A @ X, and column bands of A in CSR for A.T @ X (kept as their CSC
@@ -56,10 +56,10 @@ class DenseAccessor:
         return self._a.shape
 
     def matmul(self, x):
-        return core.require_finite(np.ascontiguousarray((x.T @ self._a.T).T), "A @ X")
+        return core.require_finite((x.T @ self._a.T).T, "A @ X")
 
     def rmatmul(self, x):
-        return core.require_finite(np.ascontiguousarray((x.T @ self._a).T), "A.T @ X")
+        return core.require_finite((x.T @ self._a).T, "A.T @ X")
 
     def fro_norm(self):
         return core.fro_norm(self._a)

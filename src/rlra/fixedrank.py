@@ -32,13 +32,15 @@ class LowRankLU:
     rank: int
 
 
-def _validate_rank(k, q_os):
-    """Rank and oversampling checks; the width k + q_os is checked against
-    A's shape by rangefinder.check_width, before any product."""
+def _validate_rank(a, k, q_os):
+    """Every driver's argument check, before any product or column read:
+    k >= 1, q_os >= 0, then the width k + q_os against a's shape
+    (rangefinder.check_width)."""
     if k < 1:
         raise ValueError("target rank must be >= 1")
     if q_os < 0:
         raise ValueError("oversampling must be >= 0")
+    rangefinder.check_width(a, k + q_os)
 
 
 def randsvd(a, k, q_os=10, p=1, seed=0, truncate=False):
@@ -59,7 +61,7 @@ def randsvd(a, k, q_os=10, p=1, seed=0, truncate=False):
     LowRankSVD with orthonormal U (m x l), S nonincreasing, V (n x l).
     """
     a = as_accessor(a)
-    _validate_rank(k, q_os)
+    _validate_rank(a, k, q_os)
     q = rangefinder.power_basis_q(a, k + q_os, p, seed)
     # B^T = A^T Q in one pass; B^T = Q_B R_B and R_B^T = U_r S V_r^T give
     # B = U_r S (Q_B V_r)^T from an l x l SVD instead of one of the wide B
@@ -89,8 +91,7 @@ def randlu(a, k, q_os=10, p=1, seed=0):
     the error is at rounding level.
     """
     a = as_accessor(a)
-    _validate_rank(k, q_os)
-    rangefinder.check_width(a, k + q_os)
+    _validate_rank(a, k, q_os)
     return _assemble_from_sketch_lu(a, rangefinder.power_basis_lu_l(a, k, p, seed))
 
 
@@ -103,8 +104,7 @@ def randlu_noreorth(a, k, q_os=10, p=1, seed=0):
     randlu.
     """
     a = as_accessor(a)
-    _validate_rank(k, q_os)
-    rangefinder.check_width(a, k + q_os)
+    _validate_rank(a, k, q_os)
     om = core.gaussian(seed, a.shape[1], k)
     raw = rangefinder._power_chain(a, om, 2 * p + 1, lambda x: x)
     return _assemble_from_sketch_lu(a, kernels.plu(raw))
@@ -132,8 +132,7 @@ def powerlu(a, k, q_os=10, v=3, seed=0):
     rounding, and oversampling columns would never reach the factors.
     """
     a = as_accessor(a)
-    _validate_rank(k, q_os)
-    rangefinder.check_width(a, k + q_os)
+    _validate_rank(a, k, q_os)
     vk = rangefinder.general_power_basis_v(a, k, v, seed)
     return lu_from_projection(a.matmul(vk), vk)
 

@@ -40,18 +40,17 @@ class LowRankSVD(NamedTuple):
     V: np.ndarray  # n x k
 
 
-def plu_work(a):
-    """Partial-pivot LU with L left in the elimination's work array.
+def plu(a):
+    """Partial-pivot LU: returns (L, U, p) with A[p, :] = L @ U.
 
-    The one elimination path: the input is copied once, into an F-ordered
-    work array, factored in place by getrf, and its triangles are tidied.
-    Returns (L, U, p) with A[p, :] = L @ U, where L is the unit-lower view
-    lu[:, :r] of the F-ordered work array and U a copy of its upper
-    triangle.  The pivot is the max-magnitude entry of the active column,
-    so every multiplier is at most 1 in magnitude.  Rank-deficient input
-    is handled without error: a dependent column leaves a zero or
-    round-off sized pivot, which nothing downstream reads as a rank
-    decision.
+    The input is copied once, into an F-ordered work array, factored in
+    place by getrf, and its triangles are tidied: L is the unit-lower view
+    lu[:, :r] of the work array (a copy of it when the input is wide, so
+    that L holds no unused columns), U a copy of its upper triangle.  The
+    pivot is the max-magnitude entry of the active column, so every
+    multiplier is at most 1 in magnitude.  Rank-deficient input is handled
+    without error: a dependent column leaves a zero or round-off sized
+    pivot, which nothing downstream reads as a rank decision.
     """
     lu = np.array(a, dtype=np.float64, order="F")
     if lu.ndim != 2:
@@ -65,30 +64,8 @@ def plu_work(a):
     for j in range(1, r):
         lu[:j, j] = 0.0
     lu[np.arange(r), np.arange(r)] = 1.0
-    return PivotedLU(lu[:, :r], U, piv)
-
-
-def plu(a):
-    """Partial-pivot LU: returns (L, U, p) with A[p, :] = L @ U.
-
-    plu_work's factors with L copied C-ordered: small BLAS products round
-    differently per layout, and the drivers' factors are pinned to this
-    one.
-    """
-    f = plu_work(a)
-    return PivotedLU(np.array(f.L, order="C"), f.U, f.p)
-
-
-def _householder_qr(a):
-    """Economy QR on LAPACK geqrf/orgqr, returning Q C-ordered.
-
-    The same factors as np.linalg.qr(a, mode="reduced") (bitwise, on one
-    BLAS thread) in the same layout, without its gufunc copies.  The
-    fallback of eqr, for wide, ill-conditioned or rank-deficient input.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    q, r = qr(a, mode="economic", check_finite=False)
-    return EconomyQR(np.ascontiguousarray(q), r)
+    L = lu[:, :r]
+    return PivotedLU(L if r == n else np.array(L, order="F"), U, piv)
 
 
 def _chol_inv(g):
@@ -109,13 +86,13 @@ def eqr(a):
     ||Q1^T Q1 - I||_F <= CHOLQR_CERTIFICATE; Q1^T Q1 is then the second
     sweep's Gram: R2 = chol(Q1^T Q1), Q = Q1 R2^{-1}, R = R2 R1, with Q
     orthonormal and Q R = X to O(u), and R's diagonal positive.  R^{-1} is
-    applied as a GEMM with the triangular inverse, faster than a triangular
-    solve on a C-ordered sketch: 14 ms against Householder's 34 ms on a
-    20000 x 40 sketch, one thread.  A wide input, a failed Cholesky (an
-    overflowing or underflowing Gram included) or a failed certificate
-    (NaN included) returns _householder_qr(a) unchanged; an exactly
-    rank-deficient input never passes the certificate.  The range bases,
-    pinv_factor and randsvd's final SVD all take their QR from here.
+    applied as a GEMM with the triangular inverse, not as a triangular
+    solve: 14 ms against Householder's 34 ms on a 20000 x 40 sketch, one
+    thread.  A wide input, a failed Cholesky (an overflowing or
+    underflowing Gram included) or a failed certificate (NaN included)
+    returns Householder QR on LAPACK geqrf/orgqr; an exactly rank-deficient
+    input never passes the certificate.  The range bases, pinv_factor and
+    randsvd's final SVD all take their QR from here.
     """
     a = np.asarray(a, dtype=np.float64)
     m, n = a.shape
@@ -131,7 +108,7 @@ def eqr(a):
                 second = _chol_inv(g2)
                 if second is not None:
                     return EconomyQR(q1 @ second[1], second[0] @ first[0])
-    return _householder_qr(a)
+    return EconomyQR(*qr(a, mode="economic", check_finite=False))
 
 
 def pinv_factor(l):
@@ -164,7 +141,11 @@ def pinv_apply(l, m):
 
 
 def pinv_transpose_apply(l, m):
-    """(L^T)^+ @ M for tall full-rank L: the minimum-norm solve Q R^{-T} M."""
+    """(L^T)^+ @ M for tall full-rank L: the minimum-norm solve Q R^{-T} M.
+
+    No driver calls it; like pinv_apply, it stays because perfbench's
+    tracer wraps it by name.
+    """
     q, r = pinv_factor(l)
     x = solve_triangular(r, np.asarray(m, dtype=np.float64), trans="T", lower=False)
     return q @ x

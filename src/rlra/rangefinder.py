@@ -29,9 +29,9 @@ from .accessors import as_accessor
 
 def _lu_basis(x):
     """Row-unpermuted L of lu(x): spans what x spans, and more when x has
-    dependent columns.  Written straight from the elimination's work array
-    into one C-ordered array, the layout plu gives its L."""
-    f = kernels.plu_work(x)
+    dependent columns.  Written C-ordered, since it feeds the next product
+    (a sparse product copies any other layout to C order first)."""
+    f = kernels.plu(x)
     out = np.empty(f.L.shape)
     out[f.p] = f.L
     return out

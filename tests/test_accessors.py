@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -38,16 +40,26 @@ def rel_diff(got, want):
 @pytest.mark.parametrize("m,n,l", [(12, 8, 3), (300, 200, 30), (600, 400, 30)])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_dense_products_layout(m, n, l, order):
-    # products run transposed in the GEMM and are handed back C-ordered,
-    # the layout a @ x has
+    # products run transposed in the GEMM, from operands of either layout
     a = core.gaussian(10, m, n)
     acc = DenseAccessor(a)
     x = np.asarray(core.gaussian(11, n, l), order=order)
     y = np.asarray(core.gaussian(12, m, l), order=order)
     ax, aty = acc.matmul(x), acc.rmatmul(y)
-    assert ax.flags.c_contiguous and aty.flags.c_contiguous
     assert rel_diff(ax, a @ x) <= 1e-13
     assert rel_diff(aty, a.T @ y) <= 1e-13
+
+
+def test_dense_product_allocates_only_its_result():
+    acc = DenseAccessor(core.gaussian(10, 3000, 500))
+    x = core.gaussian(11, 500, 40)
+    tracemalloc.start()
+    try:
+        ax = acc.matmul(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * ax.nbytes
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

@@ -157,8 +157,13 @@ def test_mean_error_improves_with_pass_budget():
 
 
 def _lu_l(x):
+    # the interior renormalization is the row-unpermuted L of plu; the
+    # chain goes on with the library's array, whose layout sets the next
+    # product's rounding
     f = kernels.plu(x)
-    return core.apply_inv_row_perm(f.p, f.L)
+    basis = rangefinder._lu_basis(x)
+    assert np.array_equal(basis, core.apply_inv_row_perm(f.p, f.L))
+    return basis
 
 
 def _q(x):

@@ -90,6 +90,24 @@ def test_single_pass_lu_oversampled_cuts_back():
     assert err <= 10.0 * opt
 
 
+@pytest.mark.parametrize("kind,k", [("fast", 40), ("sshaped", 20)])
+def test_single_pass_lu_oversampling_does_not_raise_error(kind, k):
+    # the rank-k truncation of the oversampled core: mean error over the
+    # optimum falls (or stays) as q_os grows, where keeping the first k
+    # columns of a (k + q_os)-wide LU made it rise
+    a, sigma = matgen.gen_decay(kind, 500, 500, seed=0)
+    opt = matgen.oracle_error(sigma, k)[0] / core.fro_norm(sigma)
+    means = []
+    for q_os in (0, 10, 40):
+        errs = [
+            core.rel_fro_error(a, fixedrank.reconstruct(singlepass.single_pass_lu(
+                singlepass.DenseColumnStream(a), k, seed=s, q_os=q_os)))
+            for s in range(10)
+        ]
+        means.append(np.mean(errs) / opt)
+    assert means[1] <= means[0] and means[2] <= means[1], means
+
+
 def test_single_pass_lu_rejects_rank_above_numerical_rank():
     a = exact_rank_matrix(80, 60, 5, seed=10)
     with pytest.raises(IllPosedPseudoinverse):
