@@ -1,4 +1,11 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from concurrent import futures
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,19 +132,26 @@ def banded_operand(m, n, empty_rows=(), empty_cols=()):
 )
 @pytest.mark.parametrize("width", [None, 1, 40])
 @pytest.mark.parametrize("order", ["C", "F"])
-def test_sparse_bands_bitwise_equal(monkeypatch, m, n, empty, width, order):
-    # every band's rows sum their terms in the order of one SciPy product
+def test_sparse_bands_bitwise_equal(monkeypatch, request, m, n, empty, width, order):
+    # every band's rows sum their terms in the order of one SciPy product,
+    # whichever worker runs it: the shared pool, one worker, or more
+    # workers than the (at most 4) bands
     monkeypatch.setattr(accessors, "BAND_ROWS", 4)
     a = banded_operand(m, n, empty, empty)
-    acc = SparseAccessor(a)
     shape = (n,) if width is None else (n, width)
     x = np.asarray(np.random.default_rng(1).standard_normal(shape), order=order)
     y = np.asarray(np.random.default_rng(2).standard_normal((m,) + shape[1:]), order=order)
-    ax, aty = acc.matmul(x), acc.rmatmul(y)
-    for got, want in ((ax, a @ x), (aty, a.T @ y)):
-        assert got.shape == want.shape
-        assert got.flags.c_contiguous
-        assert np.array_equal(got, want)
+    for workers in (None, 1, 8):
+        if workers:
+            pool = futures.ThreadPoolExecutor(workers)
+            request.addfinalizer(pool.shutdown)
+            monkeypatch.setattr(accessors, "_pool", pool)
+        acc = SparseAccessor(a)
+        ax, aty = acc.matmul(x), acc.rmatmul(y)
+        for got, want in ((ax, a @ x), (aty, a.T @ y)):
+            assert got.shape == want.shape
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
     # an operand that fits in one band is used as given, with no copy
     assert (acc._bands[0] is None, acc._bands[1] is None) == (m <= 4, n <= 4)
     if m > 4:
@@ -146,12 +160,125 @@ def test_sparse_bands_bitwise_equal(monkeypatch, m, n, empty, width, order):
         assert acc._bands[0][1].nnz == acc._bands[1][1].nnz == 0
 
 
-def test_sparse_accessor_is_lazy():
-    # generating, densifying and taking the norm build no bands
+def test_band_job_error_reaches_caller(monkeypatch):
+    monkeypatch.setattr(accessors, "BAND_ROWS", 64)
+    a = banded_operand(300, 200)
+    acc = SparseAccessor(a)
+    x = np.random.default_rng(1).standard_normal((200, 5))
+    band_product = accessors._band_product
+
+    def fail_band_0(a, bands, i, *rest):
+        if i == 0:
+            raise RuntimeError("band 0 failed")
+        band_product(a, bands, i, *rest)
+
+    monkeypatch.setattr(accessors, "_band_product", fail_band_0)
+    with pytest.raises(RuntimeError, match="band 0 failed"):
+        acc.matmul(x)
+    # the other bands finished and stay built; the failed one is built next time
+    assert [b is None for b in acc._bands[0]] == [True, False, False, False, False]
+    monkeypatch.setattr(accessors, "_band_product", band_product)
+    assert np.array_equal(acc.matmul(x), a @ x)
+    assert all(b is not None for b in acc._bands[0])
+
+
+def test_products_from_two_threads_on_one_accessor(monkeypatch, request):
+    # both callers find the bands unbuilt and race to build them, on an
+    # eight-worker pool
+    monkeypatch.setattr(accessors, "BAND_ROWS", 16)
+    pool = futures.ThreadPoolExecutor(8)
+    request.addfinalizer(pool.shutdown)
+    monkeypatch.setattr(accessors, "_pool", pool)
+    a = banded_operand(300, 200)
+    x = np.random.default_rng(1).standard_normal((200, 7))
+    y = np.random.default_rng(2).standard_normal((300, 7))
+    want = (a @ x, a.T @ y)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            acc = SparseAccessor(a)
+            start = threading.Barrier(2)
+            got = [None, None]
+
+            def call(t):
+                start.wait(timeout=10)
+                got[t] = (acc.matmul(x), acc.rmatmul(y))
+
+            threads = [threading.Thread(target=call, args=(t,)) for t in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            for ax, aty in got:
+                assert np.array_equal(ax, want[0]) and np.array_equal(aty, want[1])
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def _banded_products_match(acc, x, y, ax, aty):
+    ok = np.array_equal(acc.matmul(x), ax) and np.array_equal(acc.rmatmul(y), aty)
+    sys.exit(0 if ok else 1)
+
+
+def test_forked_child_makes_banded_products(monkeypatch):
+    # the child inherits the parent's pool object but none of its threads
+    monkeypatch.setattr(accessors, "BAND_ROWS", 64)
+    a = banded_operand(300, 200)
+    x = np.random.default_rng(1).standard_normal((200, 5))
+    y = np.random.default_rng(2).standard_normal((300, 5))
+    acc = SparseAccessor(a)
+    ax = acc.matmul(x)  # the parent's pool has workers now; A.T's bands are unbuilt
+    child = multiprocessing.get_context("fork").Process(
+        target=_banded_products_match, args=(acc, x, y, ax, a.T @ y)
+    )
+    child.start()
+    try:
+        child.join(timeout=30)
+        assert not child.is_alive()
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+
+
+def test_sparse_accessor_is_lazy(monkeypatch):
+    # generating, densifying, taking the norm and products on an operand of
+    # at most BAND_ROWS rows build no bands and start no threads
+    monkeypatch.setattr(accessors, "_pool", None)
+    threads = threading.active_count()
     acc = matgen.gen_sparse(300, 200, 0.05, seed=3)
     _ = acc.to_dense()
     _ = acc.fro_norm()
+    _ = acc.matmul(np.ones((200, 3)))
+    _ = acc.rmatmul(np.ones((300, 3)))
     assert acc._bands == [None, None]
+    assert accessors._pool is None
+    assert threading.active_count() == threads
+
+
+def test_pool_starts_at_first_banded_product_and_ends_with_the_interpreter():
+    script = (
+        "import threading, numpy as np, rlra\n"
+        "from rlra import accessors, matgen\n"
+        "assert threading.active_count() == 1\n"
+        "acc = matgen.gen_sparse(300, 200, 0.05, seed=3)\n"
+        "acc.to_dense(), acc.fro_norm(), acc.matmul(np.ones((200, 3)))\n"
+        "assert threading.active_count() == 1 and accessors._pool is None\n"
+        "accessors.BAND_ROWS = 64\n"
+        "acc.matmul(np.ones((200, 3)))\n"
+        "assert threading.active_count() > 1\n"
+    )
+    src = str(Path(accessors.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # exiting joins the idle workers; a worker that never ended would hang the run
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.returncode == 0, out.stderr
 
 
 def test_sparse_fro_norm_computed_once():
