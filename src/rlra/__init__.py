@@ -3,8 +3,9 @@
 Fixed-rank drivers (randsvd, randlu, powerlu), a fixed-precision driver with
 adaptive rank search (powerlu_fp; powerlu_fp_restarting retries it
 with a wider sketch), and a single-pass LU for streamed matrices.  The
-pivoted-LU elimination runs on LAPACK getrf (rlra.backend).  No pivot
-decides a rank: the fixed-rank drivers return factors at any k, with
+pivoted-LU elimination runs on LAPACK getrf (rlra.backend).  Neither a
+pivot nor a pseudoinverse decides a rank: the fixed-rank drivers,
+single_pass_lu included, return k-column factors at any valid k, with
 error at rounding level once k reaches rank(A), and powerlu_fp's energy
 scan alone chooses its rank.
 """
@@ -13,7 +14,6 @@ from .accessors import DenseAccessor, InstrumentedAccessor, SparseAccessor, as_a
 from .backend import BACKEND
 from .core import apply_col_perm, apply_row_perm, fro_norm, gaussian, rel_fro_error
 from .errors import (
-    IllPosedPseudoinverse,
     NonFiniteInput,
     NotConverged,
     RlraError,
@@ -54,7 +54,6 @@ __all__ = [
     "AdaptiveOutcome",
     "DenseAccessor",
     "DenseColumnStream",
-    "IllPosedPseudoinverse",
     "InstrumentedAccessor",
     "LowRankLU",
     "LowRankSVD",

@@ -192,8 +192,9 @@ def _write_svd(prefix, f):
 
 def _report_error(dense, fac):
     """Relative error of fac against dense; nan (and no reconstruction)
-    when the matrix was too large to densify."""
-    if dense is None:
+    when the matrix was too large to densify, or is all zero, where a
+    relative error is undefined."""
+    if dense is None or not dense.any():
         return float("nan")
     if isinstance(fac, fixedrank.LowRankSVD):
         approx = (fac.U * fac.S) @ fac.V.T
@@ -324,7 +325,8 @@ def cmd_compress(args):
     recon = fixedrank.reconstruct(fac)
     fileio.write_pgm(args.out, recon, maxval=maxval)
     k = outcome.rank
-    rel = core.rel_fro_error(pixels, recon)
+    # an all-black image has no relative error: nan, as _report_error gives
+    rel = core.rel_fro_error(pixels, recon) if pixels.any() else float("nan")
     ratio = (m * k + k * n + k) / (m * n)
     print(
         f"image={args.infile} m={m} n={n} rank={k} rel_err={rel:.6e} "

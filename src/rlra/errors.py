@@ -13,10 +13,6 @@ class NonFiniteInput(RlraError):
     """
 
 
-class IllPosedPseudoinverse(RlraError):
-    """The matrix handed to a pseudoinverse solve is numerically rank-deficient."""
-
-
 class NotConverged(RlraError):
     """Adaptive rank search exhausted its sketch width above tolerance.
 

@@ -10,7 +10,6 @@ columns; the oversampling q_os widens randsvd's sketch alone.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import core, kernels, rangefinder
 from .accessors import as_accessor
@@ -111,11 +110,11 @@ def randlu_noreorth(a, k, q_os=10, p=1, seed=0):
 
 
 def _assemble_from_sketch_lu(a, sk):
-    qy, ry = kernels.pinv_factor(sk.L)
-    # B = L_y^+ P A = R^{-1} (P^T Q)^T A, read through one transpose product
+    qy, rp = kernels.pinv_factor(sk.L)
+    # B = L_y^+ P A = R^+ (P^T Q)^T A; B^T = C (R^+)^T from one transpose
+    # product C = A^T (P^T Q)
     c = a.rmatmul(core.apply_inv_row_perm(sk.p, qy))
-    b = solve_triangular(ry, c.T, lower=False)
-    return column_pivot_assembly(sk.L, sk.p, b.T)
+    return column_pivot_assembly(sk.L, sk.p, c @ rp.T)
 
 
 def powerlu(a, k, q_os=10, v=3, seed=0):

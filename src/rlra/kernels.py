@@ -1,21 +1,22 @@
-"""Dense factorization kernels: pivoted LU, economy QR, pseudoinverse solves.
+"""Dense factorization kernels: pivoted LU, economy QR, the cut pseudoinverse.
 
 The LU elimination runs on LAPACK getrf through rlra.backend.  Every QR
 goes through eqr: CholeskyQR2 (two Gram / Cholesky / GEMM sweeps) when a
 certificate shows it is accurate, and Householder QR on LAPACK otherwise;
-SVD is delegated to LAPACK.  All shapes are economy: r = min(m, n).
+SVD is delegated to LAPACK.  All shapes are economy: r = min(m, n).  Every
+pseudoinverse goes through pinv_factor, which cuts the singular values of
+R below PINV_RTOL times the largest instead of raising on them.
 """
 
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
+from scipy.linalg import pinv, qr
 from scipy.linalg.lapack import dpotrf, dtrtri
 
-from . import backend, core
-from .errors import IllPosedPseudoinverse
+from . import backend
 
-# R diagonal below this fraction of ||L||_F marks the pseudoinverse ill-posed
+# pinv_factor drops the singular values of R below this fraction of the largest
 PINV_RTOL = 1e-12
 # CholeskyQR2 runs its second sweep only when the first sweep's Q1 has
 # ||Q1^T Q1 - I||_F at or below this: then cond(Q1)^2 <= 3, and the second
@@ -112,40 +113,35 @@ def eqr(a):
 
 
 def pinv_factor(l):
-    """Economy QR of a tall full-column-rank matrix, validated for pinv solves.
+    """Q and the cut pseudoinverse R^+ of a tall L = Q R, so L^+ = R^+ Q^T.
 
-    Raises IllPosedPseudoinverse when any |R_ii| falls below
-    PINV_RTOL * ||L||_F, i.e. the least-squares system is numerically
-    rank-deficient.
+    R = eqr(l).R is square, as wide as L, and R^+ is scipy.linalg.pinv of
+    it with the singular values below PINV_RTOL * s_1 cut: a numerically
+    rank-deficient L (a zero one included) gets the pseudoinverse of its
+    nearest matrix of lower rank, not an error, and every solve against it
+    is one GEMM.  Raises ValueError on a wide L.
     """
     l = np.asarray(l, dtype=np.float64)
     if l.shape[0] < l.shape[1]:
         raise ValueError(f"need a tall matrix, got {l.shape}")
     q, r = eqr(l)
-    if np.abs(np.diag(r)).min(initial=np.inf) <= PINV_RTOL * core.fro_norm(l):
-        raise IllPosedPseudoinverse(
-            f"matrix of shape {l.shape} is numerically rank-deficient"
-        )
-    return EconomyQR(q, r)
+    return q, pinv(r, atol=0.0, rtol=PINV_RTOL, check_finite=False)
 
 
 def pinv_apply(l, m):
-    """L^+ @ M for tall full-rank L, via QR and back substitution.
+    """L^+ @ M for tall L: R^+ (Q^T M), never (L^T L)^{-1}.
 
-    Solves R X = Q^T M instead of forming (L^T L)^{-1}; the normal-equations
-    formula is the definition, not the algorithm.  No driver calls it; it
-    stays because perfbench's tracer wraps it by name.
+    No driver calls it; it stays because perfbench's tracer wraps it by name.
     """
-    q, r = pinv_factor(l)
-    return solve_triangular(r, q.T @ np.asarray(m, dtype=np.float64), lower=False)
+    q, rp = pinv_factor(l)
+    return rp @ (q.T @ np.asarray(m, dtype=np.float64))
 
 
 def pinv_transpose_apply(l, m):
-    """(L^T)^+ @ M for tall full-rank L: the minimum-norm solve Q R^{-T} M.
+    """(L^T)^+ @ M for tall L: Q (R^+)^T M, the minimum-norm solution.
 
     No driver calls it; like pinv_apply, it stays because perfbench's
     tracer wraps it by name.
     """
-    q, r = pinv_factor(l)
-    x = solve_triangular(r, np.asarray(m, dtype=np.float64), trans="T", lower=False)
-    return q @ x
+    q, rp = pinv_factor(l)
+    return q @ (rp.T @ np.asarray(m, dtype=np.float64))

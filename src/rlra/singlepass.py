@@ -10,7 +10,6 @@ accumulation order is fixed (ascending column index) for reproducibility.
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dtrsm
 
 from . import core, fileio, fixedrank, kernels
 from .rangefinder import check_width
@@ -125,27 +124,26 @@ def single_pass_lu(stream, k, seed, q_os=0, panel=DEFAULT_PANEL):
     """Rank-k LU factorization reading each column of A exactly once.
 
     The sketches G = A^T Omega = Q R and H = A G (width l = k + q_os) give
-    A Q = H R^{-1} exactly, so A Q Q^T is known without another pass.  The
-    best rank-k approximation inside range(G) is (A Q W)(Q W)^T, where W
-    holds the top-k right singular vectors of A Q, from its QR and an l x l
-    SVD (the fixed-rank truncation of Tropp, Yurtsever, Udell & Cevher,
-    SIMAX 2017); fixedrank.lu_from_projection(A Q W, Q W) assembles the LU.
-    At q_os = 0, W would only rotate the whole core, so it is skipped; the
-    factors are then those of lu(H) and (G^T)^+ U1^T, in exact arithmetic.
-    Oversampling makes the factors more accurate, for an SVD of the small
-    core.  The stream's panels may be dense or sparse (see stream_sketch).
+    A Q = H R^+ (kernels.pinv_factor), so A Q Q^T is known without another
+    pass.  Where G is numerically rank-deficient (l above the numerical
+    rank of A, or A zero), R^+ is cut and H R^+ = A Q R R^+, where
+    Q R R^+ Q^T is the projector onto range(G): the factors are still k
+    columns wide, and exact to rounding at k >= rank(A).  The best rank-k
+    approximation inside range(G) is (A Q W)(Q W)^T, where W holds the
+    top-k right singular vectors of A Q, from its QR and an l x l SVD (the
+    fixed-rank truncation of Tropp, Yurtsever, Udell & Cevher, SIMAX 2017);
+    fixedrank.lu_from_projection(A Q W, Q W) assembles the LU.  At q_os = 0,
+    W would only rotate the whole core, so it is skipped.  Oversampling
+    makes the factors more accurate, for an SVD of the small core.  The
+    stream's panels may be dense or sparse (see stream_sketch).
 
     Raises ValueError for k < 1, q_os < 0 or k + q_os above min(m, n),
-    before any column is read, and IllPosedPseudoinverse when G is
-    numerically rank-deficient (k + q_os above the numerical rank of A);
-    it is the one driver that rejects a sketch wider than rank(A).
+    before any column is read.
     """
     fixedrank._validate_rank(stream, k, q_os)
     g, h = stream_sketch(stream, k + q_os, seed, panel=panel)
-    q, r = kernels.pinv_factor(g)
-    # A Q = H R^{-1}, as the right-side solve X R = H: 2.3 ms against 3.7
-    # for the left-side solve of X^T on 2000 x 100 (one thread)
-    aq = dtrsm(1.0, r, h, side=1)
+    q, rp = kernels.pinv_factor(g)
+    aq = h @ rp
     if q_os:
         w = np.linalg.svd(kernels.eqr(aq).R)[2][:k].T
         aq, q = aq @ w, q @ w

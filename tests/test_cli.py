@@ -240,6 +240,29 @@ def test_large_matrix_skips_reconstruction(tmp_path, capsys, monkeypatch, cmd):
     assert main(cmd + ["--in", path]) == 0
     assert parse_summary(capsys.readouterr().out)["rel_err"] == "nan"
 
+
+@pytest.mark.parametrize("cmd", [
+    ["factor", "--alg", "powerlu", "--rank", "5", "--out-prefix", "f"],
+    ["factor", "--alg", "singlepass", "--rank", "5", "--out-prefix", "f"],
+    ["adapt", "--tol", "1e-3", "--out-prefix", "f"],
+    ["compress", "--tol", "1e-2", "--out", "f.pgm"],
+], ids=["factor", "singlepass", "adapt", "compress"])
+def test_zero_matrix_reports_nan_and_writes(tmp_path, capsys, monkeypatch, cmd):
+    # the relative error of an all-zero matrix is undefined: it is printed
+    # as nan, and the outputs are still written
+    monkeypatch.chdir(tmp_path)
+    if cmd[0] == "compress":
+        fileio.write_pgm("in", np.zeros((16, 12)), maxval=255)
+    else:
+        fileio.write_rlra("in", np.zeros((30, 20)))
+    assert main(cmd + ["--in", "in"]) == 0
+    assert parse_summary(capsys.readouterr().out)["rel_err"] == "nan"
+    if cmd[0] == "compress":
+        assert not fileio.read_pgm("f.pgm")[0].any()
+    else:
+        assert not (fileio.read_rlra("f.L.rlm") @ fileio.read_rlra("f.U.rlm")).any()
+
+
 def test_adapt_reports_rank_and_convergence(tmp_path, capsys):
     path = gen_file(tmp_path, "fast", 300, 300, seed=3)
     rc = main(["adapt", "--in", path, "--tol", "1e-4", "--block", "10",

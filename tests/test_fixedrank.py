@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from rlra import core, fixedprec, fixedrank, matgen, rangefinder, singlepass
 from rlra.accessors import DenseAccessor, InstrumentedAccessor
-from rlra.errors import IllPosedPseudoinverse, NonFiniteInput
+from rlra.errors import NonFiniteInput
 from projection_identities import duplicated_rows, range_agreement
 
 
@@ -172,14 +172,16 @@ FIXED_RANK = [
                  id="randlu"),
     pytest.param(lambda a, k: fixedrank.randsvd(a, k, p=1, seed=0, truncate=True),
                  _svd_product, id="randsvd"),
+    pytest.param(lambda a, k: singlepass.single_pass_lu(singlepass.DenseColumnStream(a), k, seed=0),
+                 fixedrank.reconstruct, id="single_pass"),
 ]
 
 
 @pytest.mark.parametrize("driver,product", FIXED_RANK)
 @pytest.mark.parametrize("r", [3, 7, 20])
 def test_exact_rank_from_the_factors(driver, product, r):
-    # a sketch of width k + 10 above rank r: at k >= r the factors are exact
-    # to rounding, and at k = r - 1 they are still returned, finite
+    # at k >= r every sketch is at least as wide as rank r and the factors
+    # are exact to rounding; at k = r - 1 they are still returned, finite
     a = duplicated_rows(120, 90, r, seed=6)
     for k in (r, r + 2):
         assert core.rel_fro_error(a, product(driver(a, k))) <= 1e-13
@@ -193,12 +195,6 @@ def test_exact_rank_from_the_factors(driver, product, r):
 def test_zero_matrix_gives_zero_factors(driver, product):
     f = product(driver(np.zeros((30, 20)), 5))
     assert f.shape == (30, 20) and np.isfinite(f).all() and not f.any()
-
-
-def test_single_pass_lu_on_zero_matrix_is_ill_posed():
-    # the one driver that still rejects a sketch wider than rank(A)
-    with pytest.raises(IllPosedPseudoinverse):
-        singlepass.single_pass_lu(singlepass.DenseColumnStream(np.zeros((30, 20))), 5, seed=0)
 
 
 def test_validation_errors():

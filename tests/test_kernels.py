@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rlra import backend, core, kernels
-from rlra.errors import IllPosedPseudoinverse
 from projection_identities import tsvd
 
 
@@ -170,23 +169,9 @@ def test_tall_qr_certificate_rejects_a_successful_cholesky():
     assert np.array_equal(q, expected_q) and np.array_equal(r, expected_r)
 
 
-@pytest.mark.parametrize("make", [lambda: _rank3(6, 50, 8),
-                                  lambda: _conditioned(7, 50, 8, 1e13)],
-                         ids=["rank-3", "cond-1e13"])
-def test_pinv_factor_rejects_deficient_sketch(make):
-    with pytest.raises(IllPosedPseudoinverse):
-        kernels.pinv_factor(make())
-
-
 def test_pinv_factor_rejects_wide():
     with pytest.raises(ValueError, match="tall"):
         kernels.pinv_factor(np.zeros((3, 5)))
-
-
-def test_pinv_factor_rejects_deficient():
-    col = np.arange(1.0, 9.0).reshape(8, 1)
-    with pytest.raises(IllPosedPseudoinverse):
-        kernels.pinv_factor(np.hstack([col, col]))
 
 
 def test_pinv_apply_is_left_inverse():
@@ -196,11 +181,19 @@ def test_pinv_apply_is_left_inverse():
 
 
 def test_pinv_apply_matches_lstsq():
+    # full column rank, and three numerically rank-deficient inputs whose
+    # cut singular values the reference drops at the same PINV_RTOL
     rng = np.random.default_rng(7)
-    l = core.gaussian_from(rng, 25, 6)
-    m = core.gaussian_from(rng, 25, 3)
-    expected = np.linalg.lstsq(l, m, rcond=None)[0]
-    assert np.allclose(kernels.pinv_apply(l, m), expected, atol=1e-12)
+    col = np.arange(1.0, 9.0).reshape(8, 1)
+    cases = {
+        "gaussian": (core.gaussian_from(rng, 25, 6), core.gaussian_from(rng, 25, 3)),
+        "rank-3": (_rank3(6, 50, 8), core.gaussian(8, 50, 3)),
+        "cond-1e13": (_conditioned(7, 50, 8, 1e13), core.gaussian(8, 50, 3)),
+        "duplicate-column": (np.hstack([col, col]), core.gaussian(8, 8, 3)),
+    }
+    for name, (l, m) in cases.items():
+        expected = np.linalg.pinv(l, rcond=kernels.PINV_RTOL) @ m
+        assert np.allclose(kernels.pinv_apply(l, m), expected, atol=1e-12), name
 
 
 def test_pinv_transpose_apply_matches_pinv():

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from rlra import core, fileio, fixedrank, matgen, singlepass
-from rlra.errors import IllPosedPseudoinverse, NonFiniteInput
+from rlra.errors import NonFiniteInput
 from projection_identities import single_pass_baseline_2011
 
 
@@ -108,10 +108,13 @@ def test_single_pass_lu_oversampling_does_not_raise_error(kind, k):
     assert means[1] <= means[0] and means[2] <= means[1], means
 
 
-def test_single_pass_lu_rejects_rank_above_numerical_rank():
+def test_single_pass_lu_factors_rank_above_numerical_rank():
+    # G = A^T Omega is 60 x 8 of rank 5: the cut pseudoinverse still gives
+    # k-column factors, exact to rounding
     a = exact_rank_matrix(80, 60, 5, seed=10)
-    with pytest.raises(IllPosedPseudoinverse):
-        singlepass.single_pass_lu(singlepass.DenseColumnStream(a), 8, seed=0)
+    f = singlepass.single_pass_lu(singlepass.DenseColumnStream(a), 8, seed=0)
+    assert f.L.shape == (80, 8) and f.U.shape == (8, 60) and f.rank == 8
+    assert core.rel_fro_error(a, fixedrank.reconstruct(f)) <= 1e-13
 
 
 @pytest.mark.parametrize("k,q_os,why", [
