@@ -169,9 +169,33 @@ def test_tall_qr_certificate_rejects_a_successful_cholesky():
     assert np.array_equal(q, expected_q) and np.array_equal(r, expected_r)
 
 
+def _assert_cut_pinv(l, rank):
+    # the deficient directions are rejected from R^+, not the input: R^+ has
+    # the numerical rank of L, and R^+ Q^T is the reference pseudoinverse
+    # with the same PINV_RTOL cut
+    q, rp = kernels.pinv_factor(l)
+    assert q.shape == l.shape and rp.shape == (l.shape[1], l.shape[1])
+    assert np.isfinite(rp).all()
+    assert np.linalg.matrix_rank(rp) == rank
+    expected = np.linalg.pinv(l, rcond=kernels.PINV_RTOL)
+    assert np.allclose(rp @ q.T, expected, atol=1e-12 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("make,rank", [(lambda: _rank3(6, 50, 8), 3),
+                                       (lambda: _conditioned(7, 50, 8, 1e13), 7)],
+                         ids=["rank-3", "cond-1e13"])
+def test_pinv_factor_rejects_deficient_sketch(make, rank):
+    _assert_cut_pinv(make(), rank)
+
+
 def test_pinv_factor_rejects_wide():
     with pytest.raises(ValueError, match="tall"):
         kernels.pinv_factor(np.zeros((3, 5)))
+
+
+def test_pinv_factor_rejects_deficient():
+    col = np.arange(1.0, 9.0).reshape(8, 1)
+    _assert_cut_pinv(np.hstack([col, col]), 1)
 
 
 def test_pinv_apply_is_left_inverse():
