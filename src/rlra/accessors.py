@@ -4,40 +4,40 @@ Range finders and drivers touch A exclusively through A @ X, A.T @ X, the
 shape, and the Frobenius norm.  One product call is one pass over A
 regardless of the width of X; InstrumentedAccessor counts them, which is how
 the pass budgets are asserted.  The dense and sparse accessors reject a
-product with NaN or infinite entries (NonFiniteInput); the check reads only
-the product, never A.  Dense products are computed as (X^T A^T)^T, so that
-the long side of the result leads in the GEMM (OpenBLAS runs a short
-leading side up to 2.5x slower), and handed back as the GEMM wrote them:
-F-ordered, with no copy.
+product with NaN or infinite entries (NonFiniteInput), reading only the
+product, never A.
 
-Sparse products run over cached bands of A: row bands of A in CSC for
-A @ X, and column bands of A in CSR for A.T @ X (kept as their CSC
-transposes), each BAND_ROWS result rows high.  Every band scatters into a
-slice of the result that stays in cache, and reads X in order.  The bands of
-one product run at once on a thread pool shared by all sparse accessors and
-made at the first banded product, with one worker per CPU in the process's
-affinity mask (os.cpu_count() where there is none); SciPy's sparse kernels
-release the GIL, so the bands run in parallel, and a product never keeps
-more workers busy than it has bands.  Each band writes only its own rows of
-the result, and each result row sums its terms in the order of one SciPy
-product, so on a canonical CSC (sorted indices, no duplicates) the products
-are bitwise equal to a @ x and a.T @ x whatever the worker count, and so
-are the factors.  Each busy worker holds one band of the result as a
-temporary (BAND_ROWS x width, 1.3 MB at width 40).  Idle workers block on
-the pool's queue, so they take no CPU from the dense work between products,
-and exit with the interpreter.  A forked child drops the pool it inherits,
-whose threads did not come along, and makes its own at its first banded
-product.
+Dense products (dense_matmul) are computed as (X^T A^T)^T, so that the long
+side of the result leads in the GEMM (OpenBLAS runs a short leading side up
+to 2.5x slower), into an F-ordered result.  From 2 * DENSE_BAND_WORK
+multiply-adds on, its rows are split into up to one band per worker, each
+of at least DENSE_BAND_WORK multiply-adds and DENSE_BAND_ROWS rows, on edges
+at multiples of 64 rows, and each band is one GEMM straight into its rows.
+On OpenBLAS every entry then equals that of one GEMM bitwise, so products
+and factors do not depend on the worker count (see DENSE_BAND_ROWS).
 
-The bands are two more copies of the nonzeros: about 24 bytes per nonzero,
-plus 4 bytes of index pointer per band and column (or row).  Each band is
-built by the worker that first multiplies it, for about the cost of one
-product, once per accessor; so reuse one accessor across calls, since
-as_accessor on a raw sparse matrix makes a new one every time.  Products
-under about 4 columns wide are slower in bands.  The bands snapshot A, and
-fro_norm is computed once, so A must not change once it is wrapped.  An
-operand with at most BAND_ROWS result rows takes one SciPy call on A as
-given, on the calling thread.
+Sparse products run over cached bands of A, BAND_ROWS result rows each:
+row bands in CSC for A @ X, column bands in CSR for A.T @ X (kept as their
+CSC transposes).  A band scatters into its own slice of the result, which
+stays in cache, summing each row's terms in the order of one SciPy product,
+so on a canonical CSC (sorted indices, no duplicates) products are bitwise
+a @ x and a.T @ x whatever the worker count.  The bands (about 24 bytes per
+nonzero, plus 4 per band and column or row) are each built by the worker
+that first multiplies it, at about the cost of one product, so reuse one
+accessor: as_accessor on a raw sparse matrix makes a new one per call.  A
+busy worker holds one band of the result (1.3 MB at width 40).  Products
+under 4 columns wide are slower in bands; at most BAND_ROWS result rows take
+one SciPy call on A.  The bands snapshot A and fro_norm is computed once,
+so A must not change once it is wrapped.
+
+The bands of one product run at once on a thread pool shared by all
+accessors and made at the first product split into bands, with one worker
+per CPU in the process's affinity mask (os.cpu_count() where there is
+none); NumPy's GEMM and SciPy's sparse kernels release the GIL.  The
+calling thread runs the last band itself unless the bands outnumber the
+workers.  Idle workers block on the pool's queue, taking no CPU between
+products, and exit with the interpreter.  A forked child drops the pool it
+inherits, whose threads did not come along, and makes its own.
 """
 
 import os
@@ -49,16 +49,21 @@ import scipy.sparse as sp
 
 from . import core
 
-# Result rows per band of a sparse product.  A 4096-row slice of a 40-wide
-# result is 1.3 MB and stays in a 2 MB L2 while the band scatters into it.
-# On a 20000 x 20000 operand with 400k nonzeros (Xeon, 2 MB L2 per core,
-# BENCH_sparse-bands.json) a 40-wide A @ X took 24-27 ms as one SciPy call
-# and 17-18 ms in 4096-row bands on one thread, A.T @ Y 28-31 and 17-19 ms.
-# With the bands spread over 2 cores (BENCH_sparse-threads.json) heights
-# from 2048 rows (10 bands) to 5000 (4 bands) took 7-12 ms in two sweeps
-# with no height fastest in both, and 10000 (2 bands) 10-15 ms; the uneven
-# 3/2 split of 5 bands over 2 workers costs nothing measurable.
+# Result rows per band of a sparse product: a 40-wide slice is 1.3 MB and
+# stays in a 2 MB L2.  On a 20000^2 operand with 400k nonzeros a 40-wide
+# A @ X took 24-27 ms as one SciPy call and 17-18 ms in bands on one thread,
+# A.T @ Y 28-31 and 17-19 (BENCH_sparse-bands.json); on 2 cores, heights of
+# 2048 to 5000 rows took 7-12 ms with none fastest twice, and 10000 rows
+# 10-15 ms (BENCH_sparse-threads.json).
 BAND_ROWS = 4096
+# Least multiply-adds per dense band.  A @ X on 2 cores, one BLAS thread:
+# 700^2 x 5, 0.53 ms split against 0.47 as one GEMM; 1000^2 x 5, 0.75
+# against 0.93; 2000^2 x 100, 11.5 against 17.0 (BENCH_dense-threads.json).
+DENSE_BAND_WORK = 2_500_000
+# Least rows per dense band.  OpenBLAS rounds a product's last rows by how
+# its row blocks fall: with 128-row bands 67 of 464 random products (a
+# 172-row band ending 300 rows, say) differed from one GEMM, at 256 none.
+DENSE_BAND_ROWS = 256
 
 __all__ = ["DenseAccessor", "SparseAccessor", "InstrumentedAccessor", "as_accessor"]
 
@@ -74,10 +79,10 @@ class DenseAccessor:
         return self._a.shape
 
     def matmul(self, x):
-        return core.require_finite((x.T @ self._a.T).T, "A @ X")
+        return core.require_finite(dense_matmul(self._a, x), "A @ X")
 
     def rmatmul(self, x):
-        return core.require_finite((x.T @ self._a).T, "A.T @ X")
+        return core.require_finite(dense_matmul(self._a.T, x), "A.T @ X")
 
     def fro_norm(self):
         return core.fro_norm(self._a)
@@ -108,11 +113,7 @@ class SparseAccessor:
         bands = self._bands[side]
         x = np.ascontiguousarray(x)  # once, not once per band
         out = np.empty((a.shape[0],) + x.shape[1:], dtype=np.result_type(a.dtype, x.dtype))
-        pool = _executor()
-        jobs = [pool.submit(_band_product, a, bands, i, height, x, out) for i in range(len(bands))]
-        futures.wait(jobs)  # no job outlives the call, even when one raised
-        for job in jobs:
-            job.result()
+        _run_bands(lambda i: _band_product(a, bands, i, height, x, out), len(bands))
         return out
 
     def matmul(self, x):
@@ -144,12 +145,49 @@ def _band_product(a, bands, i, height, x, out):
     out[rows] = bands[i] @ x
 
 
+def dense_matmul(a, x):
+    """a @ x for a 2-d a as (x^T a^T)^T, F-ordered, in row bands on the pool
+    when large enough (see above); else one GEMM, with no pool started."""
+    rows = a.shape[0]
+    work = rows * a.shape[1] * (x.shape[1] if x.ndim == 2 else 1)
+    count = 0
+    if rows >= 2 * DENSE_BAND_ROWS and work >= 2 * DENSE_BAND_WORK:
+        count = min(_executor()._max_workers, rows // DENSE_BAND_ROWS, work // DENSE_BAND_WORK)
+    if count < 2:
+        return (x.T @ a.T).T
+    edges = [rows * i // count // 64 * 64 for i in range(count)] + [rows]
+    out = np.empty((rows,) + x.shape[1:], dtype=np.result_type(a.dtype, x.dtype), order="F")
+
+    def band(i):
+        r = slice(edges[i], edges[i + 1])
+        np.matmul(x.T, a[r].T, out=out[r].T)
+
+    _run_bands(band, count)
+    return out
+
+
+def _run_bands(job, count):
+    """Run job(0) .. job(count - 1) at once on the pool, the last on the
+    calling thread unless the jobs outnumber the workers.  Returns once
+    every job has ended, re-raising the first error.  No job may submit."""
+    pool = _executor()
+    mine = count <= pool._max_workers
+    jobs = [pool.submit(job, i) for i in range(count - mine)]
+    try:
+        if mine:
+            job(count - 1)
+    finally:
+        futures.wait(jobs)  # no job outlives the call, even when one raised
+    for j in jobs:
+        j.result()
+
+
 _pool = None
 _pool_lock = threading.Lock()
 
 
 def _executor():
-    """The band pool, made at the first banded product."""
+    """The band pool, made at the first product split into bands."""
     global _pool
     with _pool_lock:
         if _pool is None:

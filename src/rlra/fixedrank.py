@@ -110,7 +110,7 @@ def randlu_noreorth(a, k, q_os=10, p=1, seed=0):
 
 
 def _assemble_from_sketch_lu(a, sk):
-    qy, rp = kernels.pinv_factor(sk.L)
+    qy, _, rp = kernels.pinv_factor(sk.L)
     # B = L_y^+ P A = R^+ (P^T Q)^T A; B^T = C (R^+)^T from one transpose
     # product C = A^T (P^T Q)
     c = a.rmatmul(core.apply_inv_row_perm(sk.p, qy))

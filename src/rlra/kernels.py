@@ -113,19 +113,19 @@ def eqr(a):
 
 
 def pinv_factor(l):
-    """Q and the cut pseudoinverse R^+ of a tall L = Q R, so L^+ = R^+ Q^T.
+    """Q, R and the cut pseudoinverse R^+ of a tall L = Q R, so L^+ = R^+ Q^T.
 
     R = eqr(l).R is square, as wide as L, and R^+ is scipy.linalg.pinv of
     it with the singular values below PINV_RTOL * s_1 cut: a numerically
     rank-deficient L (a zero one included) gets the pseudoinverse of its
     nearest matrix of lower rank, not an error, and every solve against it
-    is one GEMM.  Raises ValueError on a wide L.
+    is one GEMM (R is there to refine one).  Raises ValueError on a wide L.
     """
     l = np.asarray(l, dtype=np.float64)
     if l.shape[0] < l.shape[1]:
         raise ValueError(f"need a tall matrix, got {l.shape}")
     q, r = eqr(l)
-    return q, pinv(r, atol=0.0, rtol=PINV_RTOL, check_finite=False)
+    return q, r, pinv(r, atol=0.0, rtol=PINV_RTOL, check_finite=False)
 
 
 def pinv_apply(l, m):
@@ -133,7 +133,7 @@ def pinv_apply(l, m):
 
     No driver calls it; it stays because perfbench's tracer wraps it by name.
     """
-    q, rp = pinv_factor(l)
+    q, _, rp = pinv_factor(l)
     return rp @ (q.T @ np.asarray(m, dtype=np.float64))
 
 
@@ -143,5 +143,5 @@ def pinv_transpose_apply(l, m):
     No driver calls it; like pinv_apply, it stays because perfbench's
     tracer wraps it by name.
     """
-    q, rp = pinv_factor(l)
+    q, _, rp = pinv_factor(l)
     return q @ (rp.T @ np.asarray(m, dtype=np.float64))

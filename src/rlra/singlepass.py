@@ -1,17 +1,18 @@
 """Single-pass randomized LU over column-streamed matrices.
 
-Both sketches G = A^T Omega and H = A G are accumulated while each column of
-A is read exactly once; the factorization then works on the small sketches
-alone.  Streams deliver columns in panels, dense arrays or (for Matrix
-Market files) scipy.sparse column slices, so a sparse sweep costs O(nnz k)
-rather than O(m n k); .rlm panels are column reads through fileio.  The
-accumulation order is fixed (ascending column index) for reproducibility.
+Both sketches G = A^T Omega and H = A G are accumulated, in ascending column
+order, while each column of A is read exactly once; the factorization then
+works on the small sketches alone.  Streams deliver columns in panels, dense
+arrays (multiplied in row bands on the pool, see accessors.dense_matmul) or
+scipy.sparse column slices from Matrix Market files, so a sparse sweep costs
+O(nnz k), not O(m n k); .rlm panels are column reads through fileio.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import core, fileio, fixedrank, kernels
+from .accessors import dense_matmul
 from .rangefinder import check_width
 
 DEFAULT_PANEL = 256
@@ -103,17 +104,15 @@ def stream_sketch(stream, k, seed, panel=DEFAULT_PANEL):
     for j0, block in stream.panels(panel):
         w = block.shape[1]
         sparse = sp.issparse(block)
-        # dense panels: transposed GEMMs, so the long side of each product
-        # leads (see accessors).  On a sparse panel SciPy gives the same
-        # products bitwise either way, but the transposed form costs two
-        # more sparse transposes each: 3 ms on a 29-ms single_pass_lu of a
-        # 5000^2 matrix at density 1e-3 (k = 30, one thread)
+        # a sparse panel's transposed form would cost two more sparse
+        # transposes: 3 ms on a 29-ms single_pass_lu of a 5000^2 matrix at
+        # density 1e-3 (k = 30, one thread)
         gb = core.require_finite(
-            block.T @ om if sparse else (om.T @ block).T,
+            block.T @ om if sparse else dense_matmul(block.T, om),
             f"panel^T Omega for stream columns {j0}..{j0 + w - 1}",
         )
         g[j0 : j0 + w, :] = gb
-        h += block @ gb if sparse else (gb.T @ block.T).T
+        h += block @ gb if sparse else dense_matmul(block, gb)
         count += w
     if count != n:
         raise ValueError(f"stream delivered {count} columns, expected {n}")
@@ -134,7 +133,9 @@ def single_pass_lu(stream, k, seed, q_os=0, panel=DEFAULT_PANEL):
     fixed-rank truncation of Tropp, Yurtsever, Udell & Cevher, SIMAX 2017);
     fixedrank.lu_from_projection(A Q W, Q W) assembles the LU.  At q_os = 0,
     W would only rotate the whole core, so it is skipped.  Oversampling
-    makes the factors more accurate, for an SVD of the small core.  The
+    makes the factors more accurate, for an SVD of the small core; it also
+    makes R ill-conditioned (cond about 5e9 at fast 2000^2, q_os = 40), so
+    A Q then takes one refinement step, A Q += (H - A Q R) R^+.  The
     stream's panels may be dense or sparse (see stream_sketch).
 
     Raises ValueError for k < 1, q_os < 0 or k + q_os above min(m, n),
@@ -142,9 +143,10 @@ def single_pass_lu(stream, k, seed, q_os=0, panel=DEFAULT_PANEL):
     """
     fixedrank._validate_rank(stream, k, q_os)
     g, h = stream_sketch(stream, k + q_os, seed, panel=panel)
-    q, rp = kernels.pinv_factor(g)
+    q, r, rp = kernels.pinv_factor(g)
     aq = h @ rp
     if q_os:
+        aq += (h - aq @ r) @ rp  # one step of iterative refinement
         w = np.linalg.svd(kernels.eqr(aq).R)[2][:k].T
         aq, q = aq @ w, q @ w
     return fixedrank.lu_from_projection(aq, q)

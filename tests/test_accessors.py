@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent import futures
 from pathlib import Path
@@ -80,6 +81,150 @@ def test_dense_products_reject_non_finite(order):
         acc.matmul(x)
     with pytest.raises(NonFiniteInput, match=r"A\.T @ X"):
         acc.rmatmul(y)
+
+
+def head_products(a, x, y):
+    # the one-GEMM forms every dense product had before it was banded
+    return (x.T @ a.T).T, (y.T @ a).T
+
+
+def use_pool(monkeypatch, request, workers):
+    pool = futures.ThreadPoolExecutor(workers)
+    request.addfinalizer(pool.shutdown)
+    monkeypatch.setattr(accessors, "_pool", pool)
+
+
+def count_bands(monkeypatch):
+    """Record the band count of every product that is split."""
+    counts = []
+    run_bands = accessors._run_bands
+
+    def spy(job, count):
+        counts.append(count)
+        run_bands(job, count)
+
+    monkeypatch.setattr(accessors, "_run_bands", spy)
+    return counts
+
+
+# odd row and column counts; 1031 x 517 splits both ways (A.T @ Y into two
+# bands at most, 517 rows holding two of DENSE_BAND_ROWS), 2 x 250007 only
+# A.T @ Y, whose 2 result rows are fewer than the workers, and 5003 x 1001
+# at width 1 holds just over 2 * DENSE_BAND_WORK multiply-adds
+@pytest.mark.parametrize(
+    "m,n,width,bands",
+    [(1031, 517, 30, {2: (2, 2), 3: (3, 2)}),
+     (2, 250007, 10, {2: (0, 2), 3: (0, 2)}),
+     (5003, 1001, 1, {2: (2, 2), 3: (2, 2)})],
+)
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_dense_bands_bitwise_equal(monkeypatch, request, m, n, width, bands, order, workers):
+    # each band is one GEMM of whole rows of the result, so every entry
+    # sums its terms as the one-GEMM product does, whatever the worker count
+    use_pool(monkeypatch, request, workers)
+    counts = count_bands(monkeypatch)
+    a = core.gaussian(20, m, n)
+    acc = DenseAccessor(a)
+    x = np.asarray(core.gaussian(21, n, width), order=order)
+    y = np.asarray(core.gaussian(22, m, width), order=order)
+    ax, aty = acc.matmul(x), acc.rmatmul(y)
+    for got, want in zip((ax, aty), head_products(a, x, y)):
+        assert got.shape == want.shape
+        assert got.flags.f_contiguous
+        assert np.array_equal(got, want)
+    want_counts = bands.get(workers, (0, 0))
+    assert counts == [c for c in want_counts if c]
+
+
+def test_small_dense_product_starts_no_pool(monkeypatch):
+    # below 2 * DENSE_BAND_WORK multiply-adds, or 2 * DENSE_BAND_ROWS result
+    # rows, a product is one GEMM on the calling thread
+    monkeypatch.setattr(accessors, "_pool", None)
+    threads = threading.active_count()
+    small = DenseAccessor(core.gaussian(23, 1000, 1000))
+    x = core.gaussian(24, 1000, 2)  # 2e6 multiply-adds
+    assert np.array_equal(small.matmul(x), head_products(small.to_dense(), x, x)[0])
+    short = DenseAccessor(core.gaussian(25, 500, 20000))
+    x = core.gaussian(26, 20000, 3)  # 3e7 multiply-adds into 500 rows
+    y = core.gaussian(27, 500, 3)
+    assert np.array_equal(short.matmul(x), head_products(short.to_dense(), x, y)[0])
+    assert accessors._pool is None
+    assert threading.active_count() == threads
+    short.rmatmul(y)  # 20000 result rows: the first split product starts the pool
+    assert accessors._pool is not None
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_dense_bands_reject_non_finite(monkeypatch, request, order):
+    use_pool(monkeypatch, request, 2)
+    counts = count_bands(monkeypatch)
+    acc = DenseAccessor(core.gaussian(27, 1031, 517))
+    x = np.array(core.gaussian(28, 517, 30), order=order)
+    y = np.array(core.gaussian(29, 1031, 30), order=order)
+    x[5, 7] = np.nan
+    y[9, 2] = np.inf
+    with pytest.raises(NonFiniteInput, match=r"A @ X"):
+        acc.matmul(x)
+    with pytest.raises(NonFiniteInput, match=r"A\.T @ X"):
+        acc.rmatmul(y)
+    assert counts == [2, 2]
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_run_bands_waits_for_every_job_and_reraises(monkeypatch, request, failing):
+    # two workers and three bands: the pool takes all three; with two bands
+    # the calling thread runs the last one itself
+    use_pool(monkeypatch, request, 2)
+    for count in (2, 3):
+        if failing >= count:
+            continue
+        done, where = [], {}
+
+        def job(i):
+            where[i] = threading.current_thread()
+            if i == failing:
+                raise RuntimeError(f"band {i} failed")
+            time.sleep(0.02)
+            done.append(i)
+
+        with pytest.raises(RuntimeError, match=f"band {failing} failed"):
+            accessors._run_bands(job, count)
+        assert sorted(done) == [i for i in range(count) if i != failing]
+        caller_ran = [i for i, t in where.items() if t is threading.current_thread()]
+        assert caller_ran == ([count - 1] if count <= 2 else [])
+
+
+def test_dense_products_from_two_threads_on_one_accessor(monkeypatch, request):
+    use_pool(monkeypatch, request, 3)
+    counts = count_bands(monkeypatch)
+    a = core.gaussian(32, 1031, 517)
+    acc = DenseAccessor(a)
+    x = core.gaussian(33, 517, 30)
+    y = core.gaussian(34, 1031, 30)
+    want = head_products(a, x, y)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            start = threading.Barrier(2)
+            got = [None, None]
+
+            def call(t):
+                start.wait(timeout=10)
+                got[t] = (acc.matmul(x), acc.rmatmul(y))
+
+            threads = [threading.Thread(target=call, args=(t,)) for t in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            for ax, aty in got:
+                assert np.array_equal(ax, want[0]) and np.array_equal(aty, want[1])
+    finally:
+        sys.setswitchinterval(switch)
+    assert sorted(set(counts)) == [2, 3]
 
 
 def test_sparse_matches_dense():

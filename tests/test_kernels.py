@@ -173,8 +173,9 @@ def _assert_cut_pinv(l, rank):
     # the deficient directions are rejected from R^+, not the input: R^+ has
     # the numerical rank of L, and R^+ Q^T is the reference pseudoinverse
     # with the same PINV_RTOL cut
-    q, rp = kernels.pinv_factor(l)
-    assert q.shape == l.shape and rp.shape == (l.shape[1], l.shape[1])
+    q, r, rp = kernels.pinv_factor(l)
+    assert q.shape == l.shape and rp.shape == r.shape == (l.shape[1], l.shape[1])
+    assert np.array_equal(r, kernels.eqr(l).R)
     assert np.isfinite(rp).all()
     assert np.linalg.matrix_rank(rp) == rank
     expected = np.linalg.pinv(l, rcond=kernels.PINV_RTOL)

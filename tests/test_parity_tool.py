@@ -1,5 +1,6 @@
 """tools/parity.py compare on small hand-made dumps: its exit code, the
-plain and up-to-signs differences, and keys found in one dump only."""
+plain and up-to-signs differences, keys found in one dump only, and the
+one-ulp floor printed beside a difference."""
 
 import importlib.util
 import os
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 PARITY = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
 
@@ -66,3 +68,35 @@ def test_key_in_one_dump_is_not_comparable(parity, tmp_path, capsys):
     assert parity.main(["compare", before, after]) == 1
     row = rows(capsys.readouterr().out)[0]["randsvd"]
     assert row[2] == "1" and "(1 not comparable:" in " ".join(row)
+
+
+def test_floor_prints_beside_the_difference(parity, tmp_path, capsys):
+    # the change moves L by 1e-12 relative, the floor moves it by 1e-9 and
+    # leaves S alone; the floor never changes the exit code
+    moved = dict(ARRAYS)
+    moved["powerlu|fast/m0|v=2|s0|L"] = ARRAYS["powerlu|fast/m0|v=2|s0|L"] * (1 + 1e-12)
+    floor = dict(ARRAYS)
+    floor["powerlu|fast/m0|v=2|s0|L"] = ARRAYS["powerlu|fast/m0|v=2|s0|L"] * (1 + 1e-9)
+    before = dump(tmp_path / "a.npz", ARRAYS)
+    after = dump(tmp_path / "b.npz", moved)
+    floor_path = dump(tmp_path / "f.npz", floor)
+    assert parity.main(["compare", before, after, "--floor", floor_path]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[0].endswith("one-ulp floor")
+    by_driver, by_matrix, _ = rows(out)
+    assert float(by_driver["powerlu"][3]) == pytest.approx(1e-12, rel=1e-3)
+    assert float(by_driver["powerlu"][5]) == pytest.approx(1e-9, rel=1e-3)
+    assert by_driver["randsvd"][5] == "-"
+    assert float(by_matrix["fast"][5]) == pytest.approx(1e-9, rel=1e-3)
+    assert parity.main(["compare", before, before, "--floor", floor_path]) == 0
+
+
+def test_one_ulp_moves_every_stored_entry(parity):
+    dense = np.array([[1.0, -2.0], [0.0, 3.0]])
+    sparse = sp.csc_matrix(dense)
+    for a, values in ((dense, dense.ravel()), (sparse, sparse.data)):
+        moved = parity.one_ulp(a)
+        got = moved.ravel() if a is dense else moved.data
+        assert np.array_equal(got, np.nextafter(values, np.inf))
+        assert type(moved) is type(a)
+    assert sparse.data[0] == 1.0  # the input is not touched

@@ -1,8 +1,10 @@
+from concurrent import futures
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from rlra import core, fileio, fixedrank, matgen, singlepass
+from rlra import accessors, core, fileio, fixedrank, matgen, singlepass
 from rlra.errors import NonFiniteInput
 from projection_identities import single_pass_baseline_2011
 
@@ -184,6 +186,41 @@ def test_dense_stream_sketches_agree(tmp_path, m, n, k):
     assert np.linalg.norm(g - g_ref) <= 1e-13 * np.linalg.norm(g_ref)
     h_ref = a @ g
     assert np.linalg.norm(h - h_ref) <= 1e-13 * np.linalg.norm(h_ref)
+
+
+def head_stream_sketch(a, k, seed, panel):
+    # stream_sketch's dense panel products as one GEMM each, as they were
+    # before they were banded
+    om = core.gaussian(seed, a.shape[0], k)
+    g = np.empty((a.shape[1], k))
+    h = np.zeros((a.shape[0], k))
+    for j0 in range(0, a.shape[1], panel):
+        block = a[:, j0 : j0 + panel]
+        gb = (om.T @ block).T
+        g[j0 : j0 + block.shape[1]] = gb
+        h += (gb.T @ block.T).T
+    return g, h
+
+
+@pytest.mark.parametrize("rlm", [False, True])
+def test_dense_stream_sketch_bitwise_at_any_worker_count(tmp_path, monkeypatch, request, rlm):
+    # at 1031 rows and k = 30, the H products of the two full panels are
+    # split; the 88-column last panel's is under the floor
+    a = core.gaussian(21, 1031, 600)
+    path = str(tmp_path / "a.rlm")
+    fileio.write_rlra(path, a)
+    want = head_stream_sketch(a, 30, 4, singlepass.DEFAULT_PANEL)
+    counts = []
+    run_bands = accessors._run_bands
+    monkeypatch.setattr(accessors, "_run_bands", lambda job, n: counts.append(n) or run_bands(job, n))
+    for workers in (1, 2):
+        pool = futures.ThreadPoolExecutor(workers)
+        request.addfinalizer(pool.shutdown)
+        monkeypatch.setattr(accessors, "_pool", pool)
+        stream = singlepass.RlraFileColumnStream(path) if rlm else singlepass.DenseColumnStream(a)
+        g, h = singlepass.stream_sketch(stream, 30, 4)
+        assert np.array_equal(g, want[0]) and np.array_equal(h, want[1])
+    assert counts == [2, 2]  # at 2 workers
 
 
 def test_matrix_market_stream(tmp_path):

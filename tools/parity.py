@@ -1,7 +1,7 @@
 """Dump every rlra driver's factors over a fixed grid, and compare two dumps.
 
-    python3 tools/parity.py dump SRC OUT.npz
-    python3 tools/parity.py compare BEFORE.npz AFTER.npz
+    python3 tools/parity.py dump SRC OUT.npz [--ulp]
+    python3 tools/parity.py compare BEFORE.npz AFTER.npz [--floor FLOOR.npz]
 
 `dump` imports rlra from the source directory SRC (the `src` of a checkout)
 and runs powerlu v=2..5, randlu / randsvd / randlu_noreorth p=0..2,
@@ -17,13 +17,21 @@ that agree to rounding.
 BLAS is pinned to one thread, so a dump is reproducible.  The benchmark
 shapes take about a minute and 1 GB.
 
+`dump --ulp` runs the same grid with every entry of each A moved one ulp
+toward +inf (the stored nonzeros of a sparse A), which gives the noise
+floor: how far a driver's output moves under a perturbation of A far below
+any change of method.
+
 `compare` prints, per driver and per matrix, how many arrays differ and the
 worst relative Frobenius difference among the floating-point ones, plain
 and up to column signs, then the same for the LU probes alone, per driver;
 it exits 1 when any array differs.  Singular vectors and QR bases are
 unique only up to the sign of each column, so two correct runs whose QRs
 differ in method (Householder against CholeskyQR2) differ by about sqrt(2)
-plain and by rounding up to signs.
+plain and by rounding up to signs.  With `--floor`, a dump of BEFORE's
+source made with `--ulp`, each row also prints the worst difference up to
+column signs between BEFORE and the floor, so that a difference can be read
+against rounding.
 """
 
 import os
@@ -39,6 +47,7 @@ from collections import defaultdict  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
+import scipy.sparse as sp  # noqa: E402
 
 EPS_GRID = (0.999, 0.1, 1e-2, 1e-3)
 DRAW_SEEDS = (0, 1)
@@ -132,7 +141,16 @@ def driver_runs(case, a, workdir):
     return runs
 
 
-def dump(src, out):
+def one_ulp(a):
+    """A with every stored entry moved one ulp toward +inf."""
+    if not sp.issparse(a):
+        return np.nextafter(a, np.inf)
+    a = a.copy()
+    a.data = np.nextafter(a.data, np.inf)
+    return a
+
+
+def dump(src, out, ulp=False):
     sys.path.insert(0, str(Path(src).resolve()))
     from rlra import matgen
 
@@ -144,6 +162,8 @@ def dump(src, out):
                     a = matgen.gen_sparse(case.m, case.n, case.density, mseed).sparse
                 else:
                     a, _ = matgen.gen_decay(case.kind, case.m, case.n, mseed)
+                if ulp:
+                    a = one_ulp(a)
                 matrix = f"{case.name}/m{mseed}"
                 z = np.random.default_rng(PROBE_SEED).standard_normal((case.n, PROBE_COLUMNS))
                 for driver, params, call in driver_runs(case, a, workdir):
@@ -185,9 +205,9 @@ def worst(diffs):
     return f"{max(numeric):.3g}" if numeric else "-"
 
 
-def compare(before, after):
-    with np.load(before) as fa, np.load(after) as fb:
-        x, y = dict(fa), dict(fb)
+def grouped_differences(x, y):
+    """Per table ("driver", "matrix", "LU probe") and row name, the
+    (plain, up to signs) difference of every key in either dump."""
     groups = {"driver": defaultdict(list), "matrix": defaultdict(list),
               "LU probe": defaultdict(list)}
     for key in sorted(set(x) | set(y)):
@@ -200,17 +220,30 @@ def compare(before, after):
         groups["matrix"][matrix.split("/")[0]].append(d)
         if field == "probe":
             groups["LU probe"][driver].append(d)
+    return groups
+
+
+def load(path):
+    with np.load(path) as f:
+        return dict(f)
+
+
+def compare(before, after, floor=None):
+    x = load(before)
+    groups = grouped_differences(x, load(after))
+    floors = grouped_differences(x, load(floor)) if floor else None
     any_diff = False
     for by, table in groups.items():
         print(f"{by:<20} {'arrays':>7} {'differ':>7} {'worst rel diff':>15} "
-              f"{'worst rel diff up to column signs':>34}")
+              f"{'worst rel diff up to column signs':>34}" + (f" {'one-ulp floor':>14}" if floors else ""))
         for name, pairs in table.items():
             plain, signed = zip(*pairs)
             differing = [d for d in plain if d is not None]
             other = sum(np.isnan(d) for d in differing)
             note = f"  ({other} not comparable: permutation, rank, error text or missing)" if other else ""
+            floor_cell = f" {worst(d for _, d in floors[by].get(name, ())):>14}" if floors else ""
             print(f"{name:<20} {len(plain):>7} {len(differing):>7} {worst(plain):>15} "
-                  f"{worst(signed):>34}{note}")
+                  f"{worst(signed):>34}{floor_cell}{note}")
             any_diff |= bool(differing)
         print()
     return 1 if any_diff else 0
@@ -222,13 +255,15 @@ def main(argv=None):
     d = sub.add_parser("dump", help="run the grid and write every output array")
     d.add_argument("src", help="directory holding the rlra package, e.g. ./src")
     d.add_argument("out", help="output .npz file")
+    d.add_argument("--ulp", action="store_true", help="move every entry of each A one ulp first")
     c = sub.add_parser("compare", help="count differing arrays between two dumps")
     c.add_argument("before")
     c.add_argument("after")
+    c.add_argument("--floor", help="a --ulp dump of BEFORE's source, printed beside the difference")
     args = ap.parse_args(argv)
     if args.command == "dump":
-        return dump(args.src, args.out)
-    return compare(args.before, args.after)
+        return dump(args.src, args.out, args.ulp)
+    return compare(args.before, args.after, args.floor)
 
 
 if __name__ == "__main__":
