@@ -6,7 +6,9 @@ cols), then rows*cols little-endian float64 values in column-major order;
 no other module knows it.  PGM images are read as P2 or P5, written as P5.
 """
 
+import os
 import struct
+import sys
 
 import numpy as np
 import scipy.io
@@ -26,33 +28,44 @@ def write_rlra(path, a):
         fh.write(np.asfortranarray(a).tobytes(order="F"))
 
 
-def read_rlra_header(path):
-    """Returns (rows, cols) after validating magic and declared size."""
-    with open(path, "rb") as fh:
-        head = fh.read(RLRA_HEADER_BYTES)
-        if len(head) < RLRA_HEADER_BYTES or head[:4] != RLRA_MAGIC:
-            raise IOError(f"{path}: not an RLRA matrix file")
-        m, n = struct.unpack("<QQ", head[4:])
-        fh.seek(0, 2)
-        if fh.tell() != RLRA_HEADER_BYTES + 8 * m * n:
-            raise IOError(f"{path}: size does not match declared {m}x{n}")
+def _checked_dims(fh, path):
+    """(rows, cols) of an open .rlm file, after validating its magic and
+    that its size matches the declared dims."""
+    head = fh.read(RLRA_HEADER_BYTES)
+    if len(head) < RLRA_HEADER_BYTES or head[:4] != RLRA_MAGIC:
+        raise IOError(f"{path}: not an RLRA matrix file")
+    m, n = struct.unpack("<QQ", head[4:])
+    if os.fstat(fh.fileno()).st_size != RLRA_HEADER_BYTES + 8 * m * n:
+        raise IOError(f"{path}: size does not match declared {m}x{n}")
     return int(m), int(n)
 
 
-def read_rlra(path, j0=0, j1=None):
-    """The .rlm matrix, F-ordered, or only its columns j0..j1-1.  Header and
-    file size are checked on every call, so a file truncated since an
-    earlier read raises IOError naming the path."""
-    m, n = read_rlra_header(path)
-    j1 = n if j1 is None else j1
-    if not 0 <= j0 <= j1 <= n:
-        raise ValueError(f"columns {j0}..{j1 - 1} outside 0..{n - 1}")
+def read_rlra_header(path):
+    """Returns (rows, cols) after validating magic and declared size."""
     with open(path, "rb") as fh:
+        return _checked_dims(fh, path)
+
+
+def read_rlra(path, j0=0, j1=None, out=None):
+    """The .rlm matrix, F-ordered, or only its columns j0..j1-1; into out
+    when given, an F-ordered float64 array of that shape.  Header and file
+    size are checked on every call, through the handle that then reads, so
+    a file truncated since an earlier read raises IOError naming the path."""
+    with open(path, "rb") as fh:
+        m, n = _checked_dims(fh, path)
+        j1 = n if j1 is None else j1
+        if not 0 <= j0 <= j1 <= n:
+            raise ValueError(f"columns {j0}..{j1 - 1} outside 0..{n - 1}")
+        if out is None:
+            out = np.empty((m, j1 - j0), order="F")
+        elif out.shape != (m, j1 - j0) or out.dtype != np.float64 or not out.flags.f_contiguous:
+            raise ValueError(f"out must be an F-ordered float64 {m}x{j1 - j0} array")
         fh.seek(RLRA_HEADER_BYTES + 8 * m * j0)
-        flat = np.fromfile(fh, dtype="<f8", count=m * (j1 - j0))
-    if flat.size != m * (j1 - j0):
-        raise IOError(f"{path}: truncated column data")
-    return flat.reshape((m, j1 - j0), order="F")
+        if fh.readinto(out.T) != out.nbytes:  # out.T: the same bytes, C-ordered
+            raise IOError(f"{path}: truncated column data")
+    if sys.byteorder == "big":
+        out.byteswap(inplace=True)
+    return out
 
 
 def write_sigma(path, sigma):

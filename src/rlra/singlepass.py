@@ -5,13 +5,20 @@ order, while each column of A is read exactly once; the factorization then
 works on the small sketches alone.  Streams deliver columns in panels, dense
 arrays (multiplied in row bands on the pool, see accessors.dense_matmul) or
 scipy.sparse column slices from Matrix Market files, so a sparse sweep costs
-O(nnz k), not O(m n k); .rlm panels are column reads through fileio.
+O(nnz k), not O(m n k).  .rlm panels are column reads through fileio, each
+run on the accessors' pool while the caller multiplies the panel before it,
+so a sweep from a file costs about its reads or its products, whichever is
+slower, rather than both; in-memory panels cost no read and are sliced on
+the calling thread.
 """
+
+import contextlib
+from concurrent import futures
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import core, fileio, fixedrank, kernels
+from . import accessors, core, fileio, fixedrank, kernels
 from .accessors import dense_matmul
 from .rangefinder import check_width
 
@@ -19,26 +26,25 @@ DEFAULT_PANEL = 256
 
 
 class _StreamBase:
-    """Single-use pull interface; subclasses implement _panel(j0, j1) and
-    to_dense(), the whole matrix as an array, which leaves the stream unread."""
+    """Single-use pull interface; subclasses implement panels(width), which
+    yields (j0, panel) in ascending column order, and to_dense(), the whole
+    matrix as an array, which leaves the stream unread."""
 
     def __init__(self, shape):
         self.shape = shape
         self.columns_pulled = 0
         self._spent = False
 
-    def panels(self, width=DEFAULT_PANEL):
+    def _claim(self, width):
+        """Marks the stream spent; returns the (j0, j1) column ranges of
+        its one sweep in panels width columns wide."""
         if self._spent:
             raise RuntimeError("stream already consumed; columns are single-use")
         if width < 1:
             raise ValueError("panel width must be >= 1")
         self._spent = True
         n = self.shape[1]
-        for j0 in range(0, n, width):
-            j1 = min(j0 + width, n)
-            block = self._panel(j0, j1)
-            self.columns_pulled += j1 - j0
-            yield j0, block
+        return [(j0, min(j0 + width, n)) for j0 in range(0, n, width)]
 
 
 class _InMemoryStream(_StreamBase):
@@ -49,8 +55,10 @@ class _InMemoryStream(_StreamBase):
         self._a = a
         super().__init__(a.shape)
 
-    def _panel(self, j0, j1):
-        return self._a[:, j0:j1]
+    def panels(self, width=DEFAULT_PANEL):
+        for j0, j1 in self._claim(width):
+            self.columns_pulled += j1 - j0
+            yield j0, self._a[:, j0:j1]
 
     def to_dense(self):
         return self._a.toarray() if sp.issparse(self._a) else self._a
@@ -65,14 +73,41 @@ class DenseColumnStream(_InMemoryStream):
 
 class RlraFileColumnStream(_StreamBase):
     """Streams an .rlm file without loading it whole: each panel is one
-    column-range read through fileio.read_rlra."""
+    column-range read through fileio.read_rlra.
+
+    The read of panel j + 1 runs as one job on the accessors' pool while
+    the caller works on panel j; the first panel's read is not hidden.
+    Each panel is a fresh F-ordered array, allocated on the calling thread
+    (allocated in the job instead, a dense-pass benchmark run's peak RSS
+    rose from 264 to 323 MB) and never reused, so panels already handed
+    out keep their values.  One panel is in flight beside the caller's:
+    drop each panel before asking for the next, as stream_sketch does, and
+    at most two are alive.  A read error reaches the caller at the panel
+    it hit; then, as after closing the generator, no read is running.  The
+    reads never wait on the pool, so a one-worker pool cannot deadlock.
+    """
 
     def __init__(self, path):
         self._path = path
         super().__init__(fileio.read_rlra_header(path))
 
-    def _panel(self, j0, j1):
-        return fileio.read_rlra(self._path, j0, j1)
+    def panels(self, width=DEFAULT_PANEL):
+        ranges = self._claim(width)
+        pool = accessors._executor()
+        job = self._read_ahead(pool, *ranges[0]) if ranges else None
+        try:
+            for (j0, j1), after in zip(ranges, ranges[1:] + [None]):
+                block = job.result()
+                job = self._read_ahead(pool, *after) if after else None
+                self.columns_pulled += j1 - j0
+                yield j0, block
+        finally:
+            if job is not None:
+                futures.wait([job])  # no read outlives the sweep
+
+    def _read_ahead(self, pool, j0, j1):
+        out = np.empty((self.shape[0], j1 - j0), order="F")
+        return pool.submit(fileio.read_rlra, self._path, j0, j1, out)
 
     def to_dense(self):
         return fileio.read_rlra(self._path)
@@ -101,19 +136,22 @@ def stream_sketch(stream, k, seed, panel=DEFAULT_PANEL):
     g = np.empty((n, k))
     h = np.zeros((m, k))
     count = 0
-    for j0, block in stream.panels(panel):
-        w = block.shape[1]
-        sparse = sp.issparse(block)
-        # a sparse panel's transposed form would cost two more sparse
-        # transposes: 3 ms on a 29-ms single_pass_lu of a 5000^2 matrix at
-        # density 1e-3 (k = 30, one thread)
-        gb = core.require_finite(
-            block.T @ om if sparse else dense_matmul(block.T, om),
-            f"panel^T Omega for stream columns {j0}..{j0 + w - 1}",
-        )
-        g[j0 : j0 + w, :] = gb
-        h += block @ gb if sparse else dense_matmul(block, gb)
-        count += w
+    # closed on any exit, so no read-ahead outlives the sweep
+    with contextlib.closing(stream.panels(panel)) as panels:
+        for j0, block in panels:
+            w = block.shape[1]
+            sparse = sp.issparse(block)
+            # a sparse panel's transposed form would cost two more sparse
+            # transposes: 3 ms on a 29-ms single_pass_lu of a 5000^2 matrix at
+            # density 1e-3 (k = 30, one thread)
+            gb = core.require_finite(
+                block.T @ om if sparse else dense_matmul(block.T, om),
+                f"panel^T Omega for stream columns {j0}..{j0 + w - 1}",
+            )
+            g[j0 : j0 + w, :] = gb
+            h += block @ gb if sparse else dense_matmul(block, gb)
+            count += w
+            del block  # before the next panel is read, so at most two are alive
     if count != n:
         raise ValueError(f"stream delivered {count} columns, expected {n}")
     return g, h

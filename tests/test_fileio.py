@@ -24,6 +24,21 @@ def test_rlra_column_range_is_a_slice(tmp_path, j0, j1):
     assert cols.shape == (17, j1 - j0) and cols.flags.f_contiguous
 
 
+def test_rlra_column_read_opens_once_and_fills_out(tmp_path, monkeypatch):
+    a = core.gaussian(2, 17, 9)
+    path = str(tmp_path / "a.rlm")
+    fileio.write_rlra(path, a)
+    opened = []
+    monkeypatch.setattr(fileio, "open", lambda *args: opened.append(args) or open(*args), raising=False)
+    out = np.empty((17, 4), order="F")
+    assert fileio.read_rlra(path, 3, 7, out) is out
+    assert np.array_equal(out, a[:, 3:7])
+    assert len(opened) == 1  # header, size and columns through one handle
+    for bad in (np.empty((17, 3), order="F"), np.empty((17, 4)), np.empty((17, 4), np.float32, order="F")):
+        with pytest.raises(ValueError, match="out must be"):
+            fileio.read_rlra(path, 3, 7, bad)
+
+
 @pytest.mark.parametrize("j0,j1", [(-1, 3), (4, 3), (0, 10)])
 def test_rlra_column_range_rejects_bad_bounds(tmp_path, j0, j1):
     path = str(tmp_path / "a.rlm")

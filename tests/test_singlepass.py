@@ -1,3 +1,6 @@
+import os
+import threading
+import time
 from concurrent import futures
 
 import numpy as np
@@ -213,14 +216,111 @@ def test_dense_stream_sketch_bitwise_at_any_worker_count(tmp_path, monkeypatch, 
     counts = []
     run_bands = accessors._run_bands
     monkeypatch.setattr(accessors, "_run_bands", lambda job, n: counts.append(n) or run_bands(job, n))
-    for workers in (1, 2):
+    # an .rlm sweep also runs where more workers than cores read ahead
+    for workers in (1, 2, 8) if rlm else (1, 2):
         pool = futures.ThreadPoolExecutor(workers)
         request.addfinalizer(pool.shutdown)
         monkeypatch.setattr(accessors, "_pool", pool)
         stream = singlepass.RlraFileColumnStream(path) if rlm else singlepass.DenseColumnStream(a)
         g, h = singlepass.stream_sketch(stream, 30, 4)
         assert np.array_equal(g, want[0]) and np.array_equal(h, want[1])
-    assert counts == [2, 2]  # at 2 workers
+    assert counts == ([2, 2, 3, 3] if rlm else [2, 2])  # at 2 workers, then 8
+
+
+def rlm_file(tmp_path, m, n, seed):
+    a = core.gaussian(seed, m, n)
+    path = str(tmp_path / "a.rlm")
+    fileio.write_rlra(path, a)
+    return a, path
+
+
+def track_reads(monkeypatch, before=None):
+    """Wrap fileio.read_rlra; returns the list of (j0, thread, ended) each
+    read appends to when it starts, ended set once it returns or raises.
+    before(j0), when given, runs at the start of each read."""
+    reads = []
+    read = fileio.read_rlra
+
+    def tracked(path, j0=0, j1=None, out=None):
+        ended = threading.Event()
+        reads.append((j0, threading.current_thread(), ended))
+        try:
+            if before:
+                before(j0)
+            return read(path, j0, j1, out)
+        finally:
+            ended.set()
+
+    monkeypatch.setattr(fileio, "read_rlra", tracked)
+    return reads
+
+
+def test_file_stream_panels_keep_their_values(tmp_path):
+    # every panel is a fresh array: one handed out is never the buffer a
+    # later read fills
+    a, path = rlm_file(tmp_path, 40, 70, seed=22)
+    panels = list(singlepass.RlraFileColumnStream(path).panels(16))
+    assert [j0 for j0, _ in panels] == [0, 16, 32, 48, 64]
+    for j0, block in panels:
+        assert block.flags.f_contiguous
+        assert np.array_equal(block, a[:, j0 : j0 + 16])
+
+
+def test_file_stream_read_error_reaches_caller_at_its_panel(tmp_path, monkeypatch):
+    a, path = rlm_file(tmp_path, 40, 70, seed=23)
+    stream = singlepass.RlraFileColumnStream(path)
+    handles = []
+
+    def opener(file, mode="r"):
+        if len(handles) == 2:  # panel 32's read finds the file truncated
+            os.truncate(file, os.path.getsize(file) - 8)
+        handles.append(open(file, mode))
+        return handles[-1]
+
+    monkeypatch.setattr(fileio, "open", opener, raising=False)
+    reads = track_reads(monkeypatch)
+    got = []
+    with pytest.raises(IOError, match="a.rlm"):
+        for j0, block in stream.panels(16):
+            got.append(j0)
+            assert np.array_equal(block, a[:, j0 : j0 + 16])
+    assert got == [0, 16]
+    assert [j0 for j0, _, _ in reads] == [0, 16, 32]  # none started past the error
+    assert all(ended.is_set() for _, _, ended in reads)
+    assert len(handles) == 3 and all(fh.closed for fh in handles)
+
+
+def test_closing_file_stream_waits_for_its_read(tmp_path, monkeypatch):
+    _, path = rlm_file(tmp_path, 40, 70, seed=24)
+    stream = singlepass.RlraFileColumnStream(path)
+    reads = track_reads(monkeypatch, before=lambda j0: j0 and time.sleep(0.2))
+    panels = stream.panels(16)
+    assert next(panels)[0] == 0
+    panels.close()  # panel 16 is still being read
+    assert [j0 for j0, _, _ in reads] == [0, 16]
+    assert all(ended.is_set() for _, _, ended in reads)
+    assert stream.columns_pulled == 16
+
+
+def test_file_stream_reads_on_the_only_worker(tmp_path, monkeypatch, request):
+    # a one-worker pool: the reads hold its only worker, while the panel
+    # products run whole on the calling thread
+    a, path = rlm_file(tmp_path, 1031, 600, seed=21)
+    pool = futures.ThreadPoolExecutor(1)
+    # no wait: a deadlocked worker then fails the test instead of hanging it
+    request.addfinalizer(lambda: pool.shutdown(wait=False))
+    monkeypatch.setattr(accessors, "_pool", pool)
+    reads = track_reads(monkeypatch)
+    result = []
+    sweep = threading.Thread(target=lambda: result.append(singlepass.stream_sketch(
+        singlepass.RlraFileColumnStream(path), 30, 4)))
+    sweep.start()
+    sweep.join(timeout=30)
+    assert not sweep.is_alive()
+    want = head_stream_sketch(a, 30, 4, singlepass.DEFAULT_PANEL)
+    assert np.array_equal(result[0][0], want[0]) and np.array_equal(result[0][1], want[1])
+    assert [j0 for j0, _, _ in reads] == [0, 256, 512]
+    assert len({t for _, t, _ in reads}) == 1 and reads[0][1] is not sweep
 
 
 def test_matrix_market_stream(tmp_path):
