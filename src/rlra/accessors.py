@@ -1,7 +1,8 @@
 """Matrix accessors: the product-only view of an operand.
 
 Range finders and drivers touch A exclusively through A @ X, A.T @ X, the
-shape, and the Frobenius norm.  One product call is one pass over A
+shape, and the Frobenius norm, which the dense and sparse accessors compute
+once per accessor.  One product call is one pass over A
 regardless of the width of X; InstrumentedAccessor counts them, which is how
 the pass budgets are asserted.  The dense and sparse accessors reject a
 product with NaN or infinite entries (NonFiniteInput), reading only the
@@ -69,10 +70,12 @@ __all__ = ["DenseAccessor", "SparseAccessor", "InstrumentedAccessor", "as_access
 
 
 class DenseAccessor:
-    """In-memory dense operand."""
+    """In-memory dense operand.  fro_norm is computed once, at its first
+    call, so A must not change once it is wrapped."""
 
     def __init__(self, a):
         self._a = core.as_fmatrix(a)
+        self._fro = None
 
     @property
     def shape(self):
@@ -85,7 +88,9 @@ class DenseAccessor:
         return core.require_finite(dense_matmul(self._a.T, x), "A.T @ X")
 
     def fro_norm(self):
-        return core.fro_norm(self._a)
+        if self._fro is None:
+            self._fro = core.fro_norm(self._a)
+        return self._fro
 
     def to_dense(self):
         return self._a

@@ -2,9 +2,11 @@
 
 All three share the sketch machinery in rangefinder and consume a strict
 pass budget: 2p + 2 products for the SVD and LU drivers at exponent p, and
-exactly v products for the pass-parameterized LU driver.  The LU drivers
-sketch at width k, since their factors use only the first k sketch
-columns; the oversampling q_os widens randsvd's sketch alone.
+exactly v products for the pass-parameterized LU driver.  Every sketch
+starts from a random-sign test matrix (core.rademacher), not the paper's
+Gaussian one.  The LU drivers sketch at width k, since their factors use
+only the first k sketch columns; the oversampling q_os widens randsvd's
+sketch alone.
 """
 
 from dataclasses import dataclass
@@ -51,7 +53,7 @@ def randsvd(a, k, q_os=10, p=1, seed=0, truncate=False):
     k : target rank
     q_os : oversampling columns on top of k
     p : power iteration exponent (2p + 2 passes total)
-    seed : Gaussian draw seed
+    seed : seed of the random-sign test matrix (core.rademacher)
     truncate : return only the leading k triplets instead of the full
         sketch width l = k + q_os
 
@@ -80,10 +82,11 @@ def randlu(a, k, q_os=10, p=1, seed=0):
     partial-pivot LU of B^T.  2p + 2 passes total, every product k wide.
 
     q_os is validated, and k + q_os checked against A's shape, but it
-    changes neither the factors nor the cost: the Gaussian fills column by
-    column and partial-pivot LU is a column prefix map (the row-unpermuted
-    L[:, :k] depends only on the first k columns of its input), so
-    oversampling columns would never reach L_y.
+    changes neither the factors nor the cost: the test matrix's first k
+    columns do not depend on its width (core.rademacher) and partial-pivot
+    LU is a column prefix map (the row-unpermuted L[:, :k] depends only on
+    the first k columns of its input), so oversampling columns would never
+    reach L_y.
 
     A of rank below k still gets its factors: the sketch's L is unit lower
     with entries at most 1 whatever the sketch's rank, and at k >= rank(A)
@@ -104,7 +107,7 @@ def randlu_noreorth(a, k, q_os=10, p=1, seed=0):
     """
     a = as_accessor(a)
     _validate_rank(a, k, q_os)
-    om = core.gaussian(seed, a.shape[1], k)
+    om = core.rademacher(seed, a.shape[1], k)
     raw = rangefinder._power_chain(a, om, 2 * p + 1, lambda x: x)
     return _assemble_from_sketch_lu(a, kernels.plu(raw))
 
@@ -125,8 +128,9 @@ def powerlu(a, k, q_os=10, v=3, seed=0):
     LUs.  Works for any pass budget v >= 2.
 
     q_os is validated, and k + q_os checked against A's shape, but it
-    changes neither the factors nor the cost: the Gaussian fills column by
-    column and the interior LUs and the final QR are column prefix maps,
+    changes neither the factors nor the cost: the test matrix's first k
+    columns do not depend on its width (core.rademacher) and the interior
+    LUs and the final QR are column prefix maps,
     so the first k columns of a wider basis equal this basis up to
     rounding, and oversampling columns would never reach the factors.
     """

@@ -1,8 +1,8 @@
 """Power-iteration range finders with reorthogonalization.
 
-Every scheme runs one alternating chain A, A^T, A, ... from a Gaussian
-start (_power_chain) and differs only in the renormalization between
-products and in the factorization of the last one:
+Every scheme runs one alternating chain A, A^T, A, ... from a random-sign
+start Omega (core.rademacher, entries +-1) and differs only in the
+renormalization between products and in the factorization of the last one:
 
 - power_basis_q: QR between products, QR at the end (randsvd);
 - power_basis_lu_l: pivoted LU between products, pivoted LU at the end
@@ -70,7 +70,7 @@ def power_basis_q(a, l, p, seed):
     check_width(a, l)
     if p < 0:
         raise ValueError("p must be >= 0")
-    om = core.gaussian(seed, a.shape[1], l)
+    om = core.rademacher(seed, a.shape[1], l)
     y = _power_chain(a, om, 2 * p + 1, lambda x: kernels.eqr(x).Q)
     return kernels.eqr(y).Q
 
@@ -87,7 +87,7 @@ def power_basis_lu_l(a, l, p, seed):
     check_width(a, l)
     if p < 0:
         raise ValueError("p must be >= 0")
-    om = core.gaussian(seed, a.shape[1], l)
+    om = core.rademacher(seed, a.shape[1], l)
     return kernels.plu(_power_chain(a, om, 2 * p + 1, _lu_basis))
 
 
@@ -105,6 +105,6 @@ def general_power_basis_v(a, l, v, seed):
         raise ValueError("pass budget v must be >= 2")
     m, n = a.shape
     even = v % 2 == 0
-    om = core.gaussian(seed, m if even else n, l)
+    om = core.rademacher(seed, m if even else n, l)
     y = _power_chain(a, om, v - 1, _lu_basis, transpose_first=even)
     return kernels.eqr(y).Q

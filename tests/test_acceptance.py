@@ -186,7 +186,10 @@ def test_criterion_08_single_pass_tracks_optimum_and_beats_baseline():
 
 def test_criterion_09_expectation_bounds_hold():
     # printed expectation bounds for the two power-iteration bases, evaluated
-    # from the true spectrum; empirical means must fall below them
+    # from the true spectrum; empirical means must fall below them.  The
+    # bounds are proved for a Gaussian test matrix; the bases now start from
+    # random signs, so this checks them empirically for that draw (3-pass
+    # 0.0182 against 0.0899, 4-pass 0.0150 against 0.0715)
     sigma = matgen.decay_sigma("fast", 200)
     k, q = 20, 10
 

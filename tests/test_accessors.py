@@ -40,6 +40,17 @@ def test_dense_products():
     assert np.array_equal(acc.to_dense(), a)
 
 
+def test_dense_fro_norm_computed_once(monkeypatch):
+    a = core.gaussian(1, 12, 8)
+    acc = DenseAccessor(a)
+    calls = []
+    norm = core.fro_norm
+    monkeypatch.setattr(core, "fro_norm", lambda x: calls.append(1) or norm(x))
+    assert acc.fro_norm() == norm(a)
+    assert acc.fro_norm() == norm(a)
+    assert len(calls) == 1
+
+
 def rel_diff(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 

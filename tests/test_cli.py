@@ -378,13 +378,17 @@ def test_default_block_on_thin_input(tmp_path, capsys, cmd):
     assert float(info["rel_err"]) <= 1e-3
 
 
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_bench_passes_suite_csv(tmp_path, capsys):
     out = str(tmp_path / "passes.csv")
     assert main(["bench", "--suite", "passes", "--out", out]) == 0
     with open(out, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(csv.DictReader(open(out, newline="")))
+        header = next(csv.reader(fh))
+    rows = read_rows(out)
     assert header == CSV_HEADER
     powerlu = {r["v"]: r["passes"] for r in rows if r["alg"] == "powerlu"}
     assert powerlu == {"2": "2", "3": "3", "4": "4", "5": "5"}
@@ -399,7 +403,7 @@ def test_bench_accuracy_suite_csv(tmp_path):
     out = str(tmp_path / "acc.csv")
     assert main(["bench", "--suite", "accuracy", "--type", "fast", "--n", "60",
                  "--seeds", "2", "--out", out]) == 0
-    rows = list(csv.DictReader(open(out, newline="")))
+    rows = read_rows(out)
     # widths 20, 40, 60 -> one tsvd row plus 3 algs x 2 seeds each
     assert len(rows) == 3 * (1 + 6)
     algs = {r["alg"] for r in rows}
@@ -417,7 +421,7 @@ def test_bench_accuracy_rows_at_or_above_optimum(tmp_path):
     out = str(tmp_path / "acc.csv")
     assert main(["bench", "--suite", "accuracy", "--type", "fast", "--n", "120",
                  "--seeds", "1", "--out", out]) == 0
-    rows = list(csv.DictReader(open(out, newline="")))
+    rows = read_rows(out)
     opt = {r["k"]: float(r["rel_err"]) for r in rows if r["alg"] == "tsvd"}
     assert sorted(opt, key=int) == ["10", "30", "50", "70", "90", "110"]
     drivers = [r for r in rows if r["alg"] != "tsvd"]
@@ -432,7 +436,7 @@ def test_bench_rank_sweep_suite_csv(tmp_path):
                  "--seeds", "1", "--out", out]) == 0
     with open(out, newline="") as fh:
         assert next(csv.reader(fh)) == CSV_HEADER
-    rows = list(csv.DictReader(open(out, newline="")))
+    rows = read_rows(out)
     # ranks 100 and 200 (k + 10 <= n), 3 algs x 1 seed each, no oracle rows
     assert len(rows) == 6
     assert {r["alg"] for r in rows} == {"powerlu", "randlu", "randsvd"}

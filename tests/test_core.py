@@ -31,6 +31,35 @@ def test_gaussian_leading_columns_agree_across_widths():
 def test_gaussian_rejects_empty():
     with pytest.raises(ValueError):
         core.gaussian(0, 0, 3)
+    with pytest.raises(ValueError):
+        core.rademacher(0, 3, 0)
+
+
+def test_rademacher_signs_layout_and_reproducible():
+    x = core.rademacher(7, 203, 9)
+    assert x.shape == (203, 9)
+    assert x.dtype == np.float64
+    assert x.flags.f_contiguous
+    assert np.array_equal(np.abs(x), np.ones((203, 9)))
+    assert 0.4 < np.mean(x > 0) < 0.6
+    assert np.array_equal(x, core.rademacher(7, 203, 9))
+    assert not np.array_equal(x, core.rademacher(8, 203, 9))
+
+
+def test_rademacher_fills_columns_from_the_byte_stream():
+    # entry (i, j) is bit j * m + i of the seeded generator's bytes: 1 -> +1
+    m, n = 13, 5
+    raw = np.random.default_rng(4).bytes(-(-m * n // 8))
+    bits = [(byte >> (7 - b)) & 1 for byte in raw for b in range(8)]
+    want = np.array([[2.0 * bits[j * m + i] - 1.0 for j in range(n)] for i in range(m)])
+    assert np.array_equal(core.rademacher(4, m, n), want)
+
+
+@pytest.mark.parametrize("width", [1, 7, 40])
+def test_rademacher_leading_columns_agree_across_widths(width):
+    # m = 1001 is not a multiple of 8, so columns start mid-byte
+    wide = core.rademacher(3, 1001, 41)
+    assert np.array_equal(core.rademacher(3, 1001, width), wide[:, :width])
 
 
 def test_fro_norm_diag():

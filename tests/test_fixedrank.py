@@ -264,3 +264,37 @@ def test_lu_drivers_sketch_only_k_columns(call, passes):
         assert acc.widths == [k] * passes
     for name in ("p", "q", "L", "U"):
         assert np.array_equal(getattr(got[10], name), getattr(got[0], name))
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The (seed, m, n) of every core.gaussian and core.rademacher call."""
+    log = {"gaussian": [], "rademacher": []}
+    for name, calls in log.items():
+        draw = getattr(core, name)
+        monkeypatch.setattr(core, name, lambda s, m, n, d=draw, c=calls: c.append((s, m, n)) or d(s, m, n))
+    return log
+
+
+DRAWS = [
+    pytest.param(lambda a: fixedrank.randsvd(a, 5, q_os=3, p=1, seed=2), (30, 8), id="randsvd"),
+    pytest.param(lambda a: fixedrank.randlu(a, 5, p=1, seed=2), (30, 5), id="randlu"),
+    pytest.param(lambda a: fixedrank.randlu_noreorth(a, 5, p=1, seed=2), (30, 5),
+                 id="randlu_noreorth"),
+    pytest.param(lambda a: fixedrank.powerlu(a, 5, v=3, seed=2), (30, 5), id="powerlu-v3"),
+    pytest.param(lambda a: fixedrank.powerlu(a, 5, v=4, seed=2), (40, 5), id="powerlu-v4"),
+    pytest.param(lambda a: fixedprec.powerlu_fp(a, fixedprec.PrecisionParams(0.5, 1, 6, 3), 2),
+                 (30, 6), id="powerlu_fp"),
+]
+
+
+@pytest.mark.parametrize("call,shape", DRAWS)
+def test_multi_pass_drivers_draw_random_signs(draws, call, shape):
+    call(matgen.gen_decay("slow", 40, 30, seed=1)[0])
+    assert draws == {"gaussian": [], "rademacher": [(2, *shape)]}
+
+
+def test_single_pass_draws_gaussian(draws):
+    a, _ = matgen.gen_decay("slow", 40, 30, seed=1)
+    singlepass.single_pass_lu(singlepass.DenseColumnStream(a), 5, 2, q_os=2)
+    assert draws == {"gaussian": [(2, 40, 7)], "rademacher": []}

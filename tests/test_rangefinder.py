@@ -29,7 +29,7 @@ def test_general_power_basis_v_orthonormal_and_pass_count(v):
 def test_two_pass_basis_is_qr_of_transpose_sketch():
     acc = DenseAccessor(core.gaussian(31, 35, 28))
     basis = rangefinder.general_power_basis_v(acc, 6, 2, seed=9)
-    om = core.gaussian(9, 35, 6)
+    om = core.rademacher(9, 35, 6)
     y = acc.rmatmul(om)
     assert np.array_equal(basis, kernels.eqr(y).Q)
     # the same basis as Householder QR, up to the sign of each column
@@ -42,7 +42,7 @@ def test_lu_sketch_p0_reproduces_sample_matrix():
     a = core.gaussian(40, 30, 20)
     acc = DenseAccessor(a)
     sk = rangefinder.power_basis_lu_l(acc, 7, 0, seed=1)
-    om = core.gaussian(1, 20, 7)
+    om = core.rademacher(1, 20, 7)
     y = a @ om
     assert np.allclose(core.apply_inv_row_perm(sk.p, sk.L @ sk.U), y,
                        atol=1e-12 * core.fro_norm(y))
@@ -54,7 +54,7 @@ def test_lu_sketch_range_matches_raw_chain(p):
     sig = np.linspace(3.0, 1.0, 20)
     a, _ = matgen.gen_decay("custom", 30, 20, seed=2, sigma=sig)
     sk = rangefinder.power_basis_lu_l(a, 7, p, seed=5)
-    om = core.gaussian(5, 20, 7)
+    om = core.rademacher(5, 20, 7)
     chain = om
     for _ in range(p):
         chain = a.T @ (a @ chain)
@@ -181,7 +181,7 @@ def test_general_power_basis_v_chain_order(v):
     # between the v - 1 products, QR of the last
     acc = _chain_input(v)
     m, n = acc.shape
-    x = core.gaussian(3, m if v % 2 == 0 else n, 8)
+    x = core.rademacher(3, m if v % 2 == 0 else n, 8)
     for i in range(v - 1):
         if i:
             x = _lu_l(x)
@@ -194,7 +194,7 @@ def test_power_basis_chain_order(p):
     # A first, then A^T and A p times each: QR between products for the
     # column basis, row-unpermuted L for the LU sketch
     acc = _chain_input(p)
-    om = core.gaussian(4, 30, 8)
+    om = core.rademacher(4, 30, 8)
     yq = ylu = acc.matmul(om)
     for _ in range(p):
         yq = acc.matmul(_q(acc.rmatmul(_q(yq))))
@@ -210,7 +210,7 @@ def test_randlu_noreorth_chain_order(p):
     # the raw k-wide chain A (A^T A)^p Omega with no renormalization, then
     # the same post-sketch assembly as randlu
     acc = _chain_input(p)
-    y = core.gaussian(5, 30, 6)
+    y = core.rademacher(5, 30, 6)
     for _ in range(p):
         y = acc.rmatmul(acc.matmul(y))
     sk = kernels.plu(acc.matmul(y))
