@@ -168,11 +168,11 @@ def _resolve_budget(parser_error, alg, passes):
         if passes is not None:
             parser_error("singlepass reads the matrix once; no pass budget applies")
         return None
-    if alg == "powerlu":
-        return passes if passes is not None else 3
     if passes is None:
-        return 4
-    if passes < 2 or passes % 2:
+        return 3 if alg == "powerlu" else 4
+    if passes < 2:
+        parser_error(f"--passes {passes} is below the two-pass minimum")
+    if passes % 2 and alg != "powerlu":
         parser_error(f"--passes {passes} has no exponent equivalent; use even v >= 2")
     return passes
 

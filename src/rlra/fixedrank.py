@@ -1,6 +1,7 @@
-"""Fixed-rank drivers: randomized SVD and the two randomized LU factorizations.
+"""Fixed-rank drivers: randomized SVD and the randomized LU factorizations.
 
-All three share the sketch machinery in rangefinder and consume a strict
+Every driver sketches with rangefinder's one power chain (pivoted LU
+between products; randlu_noreorth's chain is raw) and consumes a strict
 pass budget: 2p + 2 products for the SVD and LU drivers at exponent p, and
 exactly v products for the pass-parameterized LU driver.  Every sketch
 starts from a random-sign test matrix (core.rademacher), not the paper's
@@ -45,7 +46,10 @@ def _validate_rank(a, k, q_os):
 
 
 def randsvd(a, k, q_os=10, p=1, seed=0, truncate=False):
-    """Randomized SVD with QR-reorthogonalized power iteration.
+    """Randomized SVD with LU-reorthogonalized power iteration.
+
+    The column basis Q is the QR of the last product of rangefinder's
+    power chain (power_basis_q), with pivoted LU between its products.
 
     Parameters
     ----------
@@ -107,9 +111,8 @@ def randlu_noreorth(a, k, q_os=10, p=1, seed=0):
     """
     a = as_accessor(a)
     _validate_rank(a, k, q_os)
-    om = core.rademacher(seed, a.shape[1], k)
-    raw = rangefinder._power_chain(a, om, 2 * p + 1, lambda x: x)
-    return _assemble_from_sketch_lu(a, kernels.plu(raw))
+    return _assemble_from_sketch_lu(
+        a, rangefinder.power_basis_lu_l(a, k, p, seed, _reorth=False))
 
 
 def _assemble_from_sketch_lu(a, sk):

@@ -1,24 +1,21 @@
-"""Power-iteration range finders with reorthogonalization.
+"""Power-iteration range finders with LU reorthogonalization.
 
-Every scheme runs one alternating chain A, A^T, A, ... from a random-sign
-start Omega (core.rademacher, entries +-1) and differs only in the
-renormalization between products and in the factorization of the last one:
+Every range finder is one chain (_power_chain): a random-sign start Omega
+(core.rademacher, entries +-1), then products with A and A^T in turn, with
+the row-unpermuted L of a pivoted LU between consecutive products, as in
+the paper's reorthogonalization (and fbpca's randomized SVD, Li et al.,
+ACM TOMS 2017).  The public finders differ only in the factorization of
+the last raw product: QR for power_basis_q (randsvd) and
+general_power_basis_v (powerlu, powerlu_fp), pivoted LU for
+power_basis_lu_l (randlu; with no renormalization, randlu_noreorth).
 
-- power_basis_q: QR between products, QR at the end (randsvd);
-- power_basis_lu_l: pivoted LU between products, pivoted LU at the end
-  (randlu);
-- general_power_basis_v: pivoted LU between products, QR at the end, for
-  any pass budget v >= 2 (powerlu, powerlu_fp); even v starts with A^T;
-- fixedrank.randlu_noreorth: no renormalization at all.
-
-Interior LU renormalizations keep only the row-unpermuted L factor, which
-preserves the span exactly when the sketch has full column rank.  The
-width l is checked against A's shape only (check_width, the library's one
-width check), never against its rank: when A has rank below l, L (unit
-lower, every entry at most 1 in magnitude) and QR's Q still have l columns,
-and each dependent direction is a bounded extra column, like one more
-oversampling column.  Pass accounting is strict: one accessor product
-equals one pass.
+Interior LU renormalizations preserve the span exactly when the sketch has
+full column rank.  The width l is checked against A's shape only
+(check_width, the library's one width check), never against its rank: when
+A has rank below l, L (unit lower, every entry at most 1 in magnitude) and
+QR's Q still have l columns, and each dependent direction is a bounded
+extra column, like one more oversampling column.  Pass accounting is
+strict: one accessor product equals one pass.
 """
 
 import numpy as np
@@ -45,50 +42,49 @@ def check_width(a, l):
         raise ValueError(f"sketch width {l} outside 1..min{(m, n)}")
 
 
-def _power_chain(a, x, products, renorm, transpose_first=False):
-    """Apply A and A^T alternately to x, `products` times in all.
+def _power_chain(a, l, products, seed, transpose_first=False, reorth=True):
+    """The l-wide chain of `products` products, A and A^T in turn.
 
-    The first product is A @ x, or A^T @ x when transpose_first is set.
-    renorm runs between consecutive products, never after the last one;
-    the last raw product is returned.
+    The start is core.rademacher(seed, n, l), or (m, l) when transpose_first
+    sets A^T as the first product.  With reorth, _lu_basis runs between
+    consecutive products (never after the last); without, the chain is raw.
+    Returns the last raw product.
     """
+    a = as_accessor(a)
+    check_width(a, l)
+    m, n = a.shape
+    x = core.rademacher(seed, m if transpose_first else n, l)
     steps = (a.rmatmul, a.matmul) if transpose_first else (a.matmul, a.rmatmul)
     for i in range(products):
-        if i:
-            x = renorm(x)
+        if i and reorth:
+            x = _lu_basis(x)
         x = steps[i % 2](x)
     return x
 
 
 def power_basis_q(a, l, p, seed):
-    """Column-space basis of (A A^T)^p A Omega, QR at every step.
+    """Column-space basis of (A A^T)^p A Omega.
 
-    Returns Q, m x l with orthonormal columns.  Consumes exactly 2p + 1
-    passes.
+    Returns Q, m x l with orthonormal columns, the QR of the chain's last
+    product.  Consumes exactly 2p + 1 passes.
     """
-    a = as_accessor(a)
-    check_width(a, l)
     if p < 0:
         raise ValueError("p must be >= 0")
-    om = core.rademacher(seed, a.shape[1], l)
-    y = _power_chain(a, om, 2 * p + 1, lambda x: kernels.eqr(x).Q)
-    return kernels.eqr(y).Q
+    return kernels.eqr(_power_chain(a, l, 2 * p + 1, seed)).Q
 
 
-def power_basis_lu_l(a, l, p, seed):
+def power_basis_lu_l(a, l, p, seed, _reorth=True):
     """LU-stabilized sketch of A (A^T A)^p Omega for the LU driver.
 
     Returns (L, U, p_perm) from a final pivoted LU.  Interior LU
     renormalizations rescale the sketch, so P^T L U equals the raw chain
     only up to an invertible right factor; Range(P^T L) matches it exactly
-    (in exact arithmetic).  Consumes exactly 2p + 1 passes.
+    (in exact arithmetic).  _reorth=False (randlu_noreorth only) factors
+    the raw chain instead.  Consumes exactly 2p + 1 passes.
     """
-    a = as_accessor(a)
-    check_width(a, l)
     if p < 0:
         raise ValueError("p must be >= 0")
-    om = core.rademacher(seed, a.shape[1], l)
-    return kernels.plu(_power_chain(a, om, 2 * p + 1, _lu_basis))
+    return kernels.plu(_power_chain(a, l, 2 * p + 1, seed, reorth=_reorth))
 
 
 def general_power_basis_v(a, l, v, seed):
@@ -99,12 +95,6 @@ def general_power_basis_v(a, l, v, seed):
     n x l with orthonormal columns.  Consumes exactly v - 1 passes; the
     caller's A @ V spends the final one.
     """
-    a = as_accessor(a)
-    check_width(a, l)
     if v < 2:
         raise ValueError("pass budget v must be >= 2")
-    m, n = a.shape
-    even = v % 2 == 0
-    om = core.rademacher(seed, m if even else n, l)
-    y = _power_chain(a, om, v - 1, _lu_basis, transpose_first=even)
-    return kernels.eqr(y).Q
+    return kernels.eqr(_power_chain(a, l, v - 1, seed, transpose_first=v % 2 == 0)).Q

@@ -191,6 +191,7 @@ def test_factor_singlepass_oversample(tmp_path, capsys):
     ["--passes", "1"],                   # below the two-pass minimum
     ["--passes", "3"],                   # odd budget for an exponent algorithm
     ["--panel", "64"],                   # no such flag
+    ["--alg", "powerlu", "--passes", "1"],  # the last --alg wins: powerlu's minimum
 ])
 def test_factor_usage_errors_exit_2(tmp_path, extra):
     path = gen_file(tmp_path)

@@ -191,18 +191,29 @@ def test_general_power_basis_v_chain_order(v):
 
 @pytest.mark.parametrize("p", [0, 1, 2])
 def test_power_basis_chain_order(p):
-    # A first, then A^T and A p times each: QR between products for the
-    # column basis, row-unpermuted L for the LU sketch
+    # one chain for both: A first, then A^T and A p times each, with the
+    # row-unpermuted L between products; QR of its last product is the
+    # column basis, pivoted LU of it the LU sketch
     acc = _chain_input(p)
-    om = core.rademacher(4, 30, 8)
-    yq = ylu = acc.matmul(om)
+    y = acc.matmul(core.rademacher(4, 30, 8))
     for _ in range(p):
-        yq = acc.matmul(_q(acc.rmatmul(_q(yq))))
-        ylu = acc.matmul(_lu_l(acc.rmatmul(_lu_l(ylu))))
-    assert np.array_equal(rangefinder.power_basis_q(acc, 8, p, seed=4), _q(yq))
+        y = acc.matmul(_lu_l(acc.rmatmul(_lu_l(y))))
+    assert np.array_equal(rangefinder.power_basis_q(acc, 8, p, seed=4), _q(y))
     sk = rangefinder.power_basis_lu_l(acc, 8, p, seed=4)
-    f = kernels.plu(ylu)
-    assert all(np.array_equal(x, y) for x, y in zip(sk, (f.L, f.U, f.p)))
+    f = kernels.plu(y)
+    assert all(np.array_equal(got, want) for got, want in zip(sk, (f.L, f.U, f.p)))
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_column_basis_is_row_basis_of_the_transpose(p):
+    # one chain seen from either side: the 2p + 1 products A, A^T, ... from
+    # an n x l start are general_power_basis_v's chain on A^T at the even
+    # budget 2p + 2, which starts with (A^T)^T = A from the same draw
+    a, _ = matgen.gen_decay("slow", 40, 30, seed=6)
+    q = rangefinder.power_basis_q(a, 8, p, seed=2)
+    v = rangefinder.general_power_basis_v(a.T, 8, 2 * p + 2, seed=2)
+    assert v.shape == q.shape == (40, 8)
+    assert subspace_angle(q, v) <= 1e-12
 
 
 @pytest.mark.parametrize("p", [0, 1, 2])
