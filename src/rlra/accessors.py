@@ -97,10 +97,12 @@ class DenseAccessor:
 
 
 class SparseAccessor:
-    """Sparse operand; products never densify A."""
+    """Sparse operand; products never densify A.  Held as float64 CSC:
+    integers are cast, complex input raises ValueError, and a float64 CSC
+    matrix is shared, not copied."""
 
     def __init__(self, a):
-        self._a = sp.csc_matrix(a)
+        self._a = sp.csc_matrix(core.require_real(a, "A"), dtype=np.float64)
         self._bands = [None, None]  # of A and of A.T, each built at its first use
         self._fro = None
 

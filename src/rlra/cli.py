@@ -8,6 +8,7 @@ unsatisfiable at the maximum sketch width, 1 other library failures.
 
 import argparse
 import csv
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -89,22 +90,22 @@ def build_parser():
     a.add_argument("--no-restart", action="store_true",
                    help="one attempt, exactly v passes (exit 3 if not converged)")
     a.add_argument("--out-prefix", dest="prefix")
-    a.set_defaults(func=cmd_adapt)
+    a.set_defaults(func=cmd_adapt, parser=a)
 
     b = sub.add_parser("bench", help="benchmark suites to CSV")
     b.add_argument("--suite", required=True,
-                   choices=["accuracy", "rank-sweep", "passes"])
+                   choices=["accuracy", "rank-sweep"])
     b.add_argument("--type", default="slow", choices=list(matgen.DECAY_KINDS))
     b.add_argument("--n", type=int)
     b.add_argument("--seeds", type=int, help="trials per cell (suite default)")
     b.add_argument("--seed", type=int, default=12345, help="matrix seed")
     b.add_argument("--out", required=True)
-    b.set_defaults(func=cmd_bench)
+    b.set_defaults(func=cmd_bench, parser=b)
 
     c = sub.add_parser("compress", parents=[precision],
                        help="low-rank PGM image compression")
     c.add_argument("--out", required=True)
-    c.set_defaults(func=cmd_compress)
+    c.set_defaults(func=cmd_compress, parser=c)
 
     return parser
 
@@ -190,17 +191,21 @@ def _write_svd(prefix, f):
     fileio.write_rlra(f"{prefix}.V.rlm", f.V)
 
 
-def _report_error(dense, fac):
-    """Relative error of fac against dense; nan (and no reconstruction)
-    when the matrix was too large to densify, or is all zero, where a
-    relative error is undefined."""
-    if dense is None or not dense.any():
+def _report_error(a, fac):
+    """Relative error of fac against a; nan, and no reconstruction, when a
+    is an accessor or stream with more than DENSE_ERROR_LIMIT entries, too
+    large to densify, or is all zero, where a relative error is undefined."""
+    if not isinstance(a, np.ndarray):
+        if a.shape[0] * a.shape[1] > DENSE_ERROR_LIMIT:
+            return float("nan")
+        a = a.to_dense()
+    if not a.any():
         return float("nan")
     if isinstance(fac, fixedrank.LowRankSVD):
         approx = (fac.U * fac.S) @ fac.V.T
     else:
         approx = fixedrank.reconstruct(fac)
-    return core.rel_fro_error(dense, approx)
+    return core.rel_fro_error(a, approx)
 
 
 def cmd_factor(args):
@@ -209,7 +214,7 @@ def cmd_factor(args):
     source = _load_accessor(args.infile, stream=single)
     m, n = source.shape
     fac, wall = _run(args.alg, source, args.rank, args.oversample, v, args.seed)
-    rel = _report_error(source.to_dense() if m * n <= DENSE_ERROR_LIMIT else None, fac)
+    rel = _report_error(source, fac)
     if args.prefix:
         write = _write_svd if isinstance(fac, fixedrank.LowRankSVD) else _write_lu
         write(args.prefix, fac)
@@ -225,23 +230,33 @@ def cmd_factor(args):
     return 0
 
 
-def _precision_params(args, m, n):
-    """PrecisionParams from --tol/--block/--l/--passes; --l defaults to
-    default_width."""
-    width = args.l if args.l is not None else fixedprec.default_width(args.block, m, n)
-    return fixedprec.PrecisionParams(eps=args.tol, b=args.block, l=width, v=args.passes)
+def _precision_params(args):
+    """PrecisionParams from --tol/--block/--l/--passes, checked before the
+    input is read; --passes below 2 is a usage error, as for factor.
+    Without --l, width 1 stands in until _fixed_precision knows the shape."""
+    v = _resolve_budget(args.parser.error, "powerlu", args.passes)
+    width = 1 if args.l is None else args.l
+    return fixedprec.PrecisionParams(eps=args.tol, b=args.block, l=width, v=v)
+
+
+def _fixed_precision(driver, acc, params, args):
+    """One timed driver call at params, the width defaulting to
+    default_width of acc's shape without --l.  Returns the factors, the
+    outcome and the wall ms."""
+    if args.l is None:
+        params = dataclasses.replace(params, l=fixedprec.default_width(params.b, *acc.shape))
+    started = time.perf_counter()
+    fac, outcome = driver(acc, params, args.seed)
+    return fac, outcome, 1e3 * (time.perf_counter() - started)
 
 
 def cmd_adapt(args):
+    params = _precision_params(args)
     acc = _load_accessor(args.infile)
     m, n = acc.shape
-    params = _precision_params(args, m, n)
-    started = time.perf_counter()
     driver = fixedprec.powerlu_fp if args.no_restart else fixedprec.powerlu_fp_restarting
-    fac, outcome = driver(acc, params, args.seed)
-    wall = 1e3 * (time.perf_counter() - started)
-    dense = acc.to_dense() if m * n <= DENSE_ERROR_LIMIT else None
-    rel = _report_error(dense, fac)
+    fac, outcome, wall = _fixed_precision(driver, acc, params, args)
+    rel = _report_error(acc, fac)
     if args.prefix:
         _write_lu(args.prefix, fac)
     print(
@@ -254,16 +269,17 @@ def cmd_adapt(args):
 
 
 def cmd_bench(args):
-    if args.suite == "accuracy":
-        n = args.n or 500
+    for flag, value in (("--n", args.n), ("--seeds", args.seeds)):
+        if value is not None and value < 1:
+            args.parser.error(f"{flag} {value} is below 1")
+    accuracy = args.suite == "accuracy"
+    n = args.n or (500 if accuracy else 1000)
+    if accuracy:
         ranks = [l - BENCH_OVERSAMPLE for l in range(20, min(201, n + 1), 20)]
-        rows = _suite_sweep(args.type, n, args.seeds or 20, args.seed, ranks, oracle=True)
-    elif args.suite == "rank-sweep":
-        n = args.n or 1000
-        ranks = range(100, min(n - BENCH_OVERSAMPLE, 1000) + 1, 100)
-        rows = _suite_sweep(args.type, n, args.seeds or 3, args.seed, ranks, oracle=False)
     else:
-        rows = _suite_passes(args.seed)
+        ranks = range(100, min(n - BENCH_OVERSAMPLE, 1000) + 1, 100)
+    seeds = args.seeds or (20 if accuracy else 3)
+    rows = _suite_sweep(args.type, n, seeds, args.seed, ranks, oracle=accuracy)
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_HEADER, restval="")
         writer.writeheader()
@@ -297,31 +313,12 @@ def _suite_sweep(kind, n, seeds, matrix_seed, ranks, oracle):
     return rows
 
 
-def _suite_passes(matrix_seed):
-    """Measured product counts per algorithm and budget on a small matrix."""
-    m, n, k, q_os = 300, 200, 20, 10
-    a, _ = matgen.gen_decay("fast", m, n, matrix_seed)
-    cell = {"matrix": f"fast-{m}x{n}", "m": m, "n": n, "k": k, "seed": 0, "rank": k}
-    runs = [("powerlu", v, "") for v in (2, 3, 4, 5)]
-    runs += [(alg, 2 * p + 2, p) for p in (0, 1, 2) for alg in ("randlu", "randsvd")]
-    rows = []
-    for alg, v, p in runs:
-        acc = InstrumentedAccessor(a)
-        _run(alg, acc, k, q_os, v, 0)
-        rows.append({**cell, "alg": alg, "v": v, "p": p, "passes": acc.product_count})
-    stream = singlepass.DenseColumnStream(a)
-    _run("singlepass", stream, k, None, None, 0)
-    rows.append({**cell, "alg": "singlepass", "passes": 1,
-                 "wall_ms": f"columns={stream.columns_pulled}"})
-    return rows
-
-
 def cmd_compress(args):
+    params = _precision_params(args)
     pixels, maxval = fileio.read_pgm(args.infile)
     m, n = pixels.shape
     acc = InstrumentedAccessor(pixels)
-    params = _precision_params(args, m, n)
-    fac, outcome = fixedprec.powerlu_fp_restarting(acc, params, args.seed)
+    fac, outcome, wall = _fixed_precision(fixedprec.powerlu_fp_restarting, acc, params, args)
     recon = fixedrank.reconstruct(fac)
     fileio.write_pgm(args.out, recon, maxval=maxval)
     k = outcome.rank
@@ -330,7 +327,8 @@ def cmd_compress(args):
     ratio = (m * k + k * n + k) / (m * n)
     print(
         f"image={args.infile} m={m} n={n} rank={k} rel_err={rel:.6e} "
-        f"size_ratio={ratio:.4f} passes={acc.product_count} out={args.out}"
+        f"size_ratio={ratio:.4f} passes={acc.product_count} wall_ms={wall:.1f} "
+        f"out={args.out}"
     )
     return 0
 

@@ -24,12 +24,14 @@ __all__ = [
     "apply_col_perm",
     "apply_inv_row_perm",
     "require_finite",
+    "require_real",
 ]
 
 
 def as_fmatrix(a):
-    """Coerce to a 2-d float64 column-major array (copying only if needed)."""
-    a = np.asarray(a, dtype=np.float64)
+    """Coerce to a 2-d float64 column-major array (copying only if needed);
+    integers are cast, complex input raises ValueError."""
+    a = np.asarray(require_real(a, "A"), dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d array, got ndim={a.ndim}")
     return np.asfortranarray(a)
@@ -39,6 +41,15 @@ def require_finite(x, what):
     """Return x unchanged; raise NonFiniteInput if it holds NaN or infinity."""
     if not np.isfinite(x).all():
         raise NonFiniteInput(f"{what} has NaN or infinite entries")
+    return x
+
+
+def require_real(x, what):
+    """Return x (an array, array-like or sparse matrix) unchanged; raise
+    ValueError if it is complex, whose cast to float64 would drop the
+    imaginary part."""
+    if np.iscomplexobj(x):
+        raise ValueError(f"{what} is complex; only real matrices are supported")
     return x
 
 

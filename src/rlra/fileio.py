@@ -86,7 +86,12 @@ def write_mm(path, a):
 
 
 def read_mm(path):
-    return sp.csc_matrix(scipy.io.mmread(path))
+    """The Matrix Market matrix as float64 CSC; a complex file raises
+    IOError naming the path."""
+    a = scipy.io.mmread(path)
+    if np.iscomplexobj(a):
+        raise IOError(f"{path}: complex Matrix Market file; only real matrices are supported")
+    return sp.csc_matrix(a, dtype=np.float64)
 
 
 def _next_token(fh):
@@ -125,6 +130,8 @@ def read_pgm(path):
         count = width * height
         if magic == b"P2":
             vals = np.array(fh.read().split()[:count], dtype=np.float64)
+            if (vals < 0).any() or (vals != np.floor(vals)).any():
+                raise IOError(f"{path}: P2 samples must be non-negative integers")
         else:
             dtype = ">u2" if maxval > 255 else "u1"
             raw = fh.read(count * np.dtype(dtype).itemsize)

@@ -199,6 +199,6 @@ def single_pass_lu_rowmajor(a, k, seed, q_os=0, panel=DEFAULT_PANEL):
     The transpose of a C-ordered A is F-ordered, so its column panels are
     views of A's rows.
     """
-    at = DenseColumnStream(np.asarray(a, dtype=np.float64).T)
+    at = DenseColumnStream(np.asarray(a).T)
     ft = single_pass_lu(at, k, seed, q_os=q_os, panel=panel)
     return fixedrank.LowRankLU(p=ft.q, q=ft.p, L=ft.U.T, U=ft.L.T, rank=ft.rank)

@@ -231,7 +231,7 @@ def test_criterion_11_timing_is_informational_only(tmp_path):
     # wall-clock never gates acceptance: the bench CSV reports it, and this
     # test only checks the schema, deliberately asserting nothing about speed
     out = str(tmp_path / "bench.csv")
-    rc = main(["bench", "--suite", "passes", "--out", out])
+    rc = main(["bench", "--suite", "accuracy", "--n", "40", "--seeds", "1", "--out", out])
     import csv as csvmod
 
     with open(out, newline="") as fh:

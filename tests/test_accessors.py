@@ -251,6 +251,22 @@ def test_sparse_matches_dense():
     assert isinstance(acc.matmul(x), np.ndarray)
 
 
+def test_sparse_accessor_holds_float64():
+    # integer data is cast, so its norm cannot overflow int64 (3e9 squared
+    # twice does); float64 CSC data is shared, not copied
+    ints = sp.csc_matrix(([3_000_000_000, 3_000_000_000], ([0, 2], [1, 1])), shape=(3, 2))
+    assert ints.dtype == np.int64
+    acc = SparseAccessor(ints)
+    assert acc.sparse.dtype == np.float64
+    assert acc.fro_norm() == pytest.approx(3e9 * np.sqrt(2), rel=1e-15)
+    a = sample_sparse()
+    assert np.shares_memory(SparseAccessor(a).sparse.data, a.data)
+    with pytest.raises(ValueError, match="complex"):
+        SparseAccessor(a * 1j)
+    with pytest.raises(ValueError, match="complex"):
+        DenseAccessor(a.toarray() * 1j)
+
+
 @pytest.mark.parametrize("banded", [False, True])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_sparse_products_reject_non_finite(monkeypatch, banded, order):

@@ -10,6 +10,15 @@ def test_as_fmatrix_layout_and_dtype():
     assert a.flags.f_contiguous
 
 
+def test_as_fmatrix_shares_float64_and_rejects_complex():
+    a = np.asfortranarray(core.gaussian(1, 4, 3))
+    assert core.as_fmatrix(a) is a
+    with pytest.raises(ValueError, match="complex"):
+        core.as_fmatrix(a + 1j)
+    with pytest.raises(ValueError, match="complex"):
+        core.as_fmatrix([[1, 2j]])
+
+
 def test_as_fmatrix_rejects_non_2d():
     with pytest.raises(ValueError, match="2-d"):
         core.as_fmatrix(np.zeros(4))

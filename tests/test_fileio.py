@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse as sp
 
 from rlra import core, fileio, matgen
 
@@ -84,6 +86,20 @@ def test_mm_round_trip(tmp_path):
     assert np.allclose(back.todense(), acc.to_dense(), atol=1e-14)
 
 
+def test_mm_reads_real_float64(tmp_path):
+    ints = sp.coo_matrix(([3_000_000_000, 7], ([0, 2], [1, 1])), shape=(3, 2))
+    path = str(tmp_path / "i.mtx")
+    scipy.io.mmwrite(path, ints)
+    back = fileio.read_mm(path)
+    assert back.dtype == np.float64
+    assert np.array_equal(back.toarray(), ints.toarray())
+
+    complex_path = str(tmp_path / "c.mtx")
+    scipy.io.mmwrite(complex_path, ints * 1j)
+    with pytest.raises(IOError, match="c.mtx: complex"):
+        fileio.read_mm(complex_path)
+
+
 def test_pgm_binary_8bit_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     pixels = rng.integers(0, 256, size=(11, 14)).astype(np.float64)
@@ -142,3 +158,12 @@ def test_pgm_rejects_malformed(tmp_path):
 
     with pytest.raises(ValueError, match="maxval"):
         fileio.write_pgm(str(tmp_path / "bad.pgm"), np.eye(2), maxval=0)
+
+
+@pytest.mark.parametrize("samples", [b"0 -5 7\n1 2 3\n", b"0 5 7\n1.5 2 3\n"],
+                         ids=["negative", "non-integer"])
+def test_pgm_rejects_invalid_ascii_samples(tmp_path, samples):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P2\n3 2\n255\n" + samples)
+    with pytest.raises(IOError, match="bad.pgm: P2 samples"):
+        fileio.read_pgm(str(path))

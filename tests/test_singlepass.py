@@ -337,6 +337,26 @@ def test_matrix_market_stream(tmp_path):
     assert np.allclose(h, hd, atol=1e-12)
 
 
+def test_matrix_market_stream_is_real_float64(tmp_path):
+    ints = sp.random(30, 20, density=0.2, format="coo", random_state=5)
+    ints.data = np.rint(ints.data * 100)
+    ints = ints.astype(np.int64)
+    path = str(tmp_path / "i.mtx")
+    fileio.write_mm(path, ints)
+    stream = singlepass.MatrixMarketColumnStream(path)
+    assert stream.to_dense().dtype == np.float64
+    g, h = singlepass.stream_sketch(stream, 4, seed=0, panel=8)
+    gd, hd = singlepass.stream_sketch(
+        singlepass.DenseColumnStream(ints.toarray()), 4, seed=0, panel=8
+    )
+    assert np.allclose(g, gd, atol=1e-12) and np.allclose(h, hd, atol=1e-12)
+
+    complex_path = str(tmp_path / "c.mtx")
+    fileio.write_mm(complex_path, ints * 1j)
+    with pytest.raises(IOError, match="complex"):
+        singlepass.MatrixMarketColumnStream(complex_path)
+
+
 def test_rowmajor_adapter_transposes():
     a = exact_rank_matrix(40, 70, 6, seed=13)
     f = singlepass.single_pass_lu_rowmajor(a, 6, seed=1)
