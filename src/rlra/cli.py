@@ -276,8 +276,12 @@ def cmd_bench(args):
     n = args.n or (500 if accuracy else 1000)
     if accuracy:
         ranks = [l - BENCH_OVERSAMPLE for l in range(20, min(201, n + 1), 20)]
+        least = 20
     else:
         ranks = range(100, min(n - BENCH_OVERSAMPLE, 1000) + 1, 100)
+        least = 100 + BENCH_OVERSAMPLE
+    if not ranks:
+        args.parser.error(f"--n {n} leaves the {args.suite} suite no rank; its least n is {least}")
     seeds = args.seeds or (20 if accuracy else 3)
     rows = _suite_sweep(args.type, n, seeds, args.seed, ranks, oracle=accuracy)
     with open(args.out, "w", newline="") as fh:

@@ -125,6 +125,8 @@ def read_pgm(path):
         width = int(_next_token(fh))
         height = int(_next_token(fh))
         maxval = int(_next_token(fh))
+        if width < 1 or height < 1:
+            raise IOError(f"{path}: bad image size {width} x {height}")
         if not 0 < maxval < 65536:
             raise IOError(f"{path}: bad maxval {maxval}")
         count = width * height

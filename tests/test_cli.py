@@ -448,6 +448,23 @@ def test_bench_usage_errors_exit_2(tmp_path, monkeypatch, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("suite,least", [("accuracy", 20), ("rank-sweep", 110)])
+def test_bench_n_without_a_rank_exits_2(tmp_path, monkeypatch, capsys, suite, least):
+    # an --n below the suite's rank grid used to write a header-only CSV
+    def no_matrix(*args):
+        raise AssertionError("matrix generated before the options were checked")
+
+    monkeypatch.setattr(matgen, "gen_decay", no_matrix)
+    out = tmp_path / "b.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--suite", suite, "--n", str(least - 1), "--seeds", "1", "--out", str(out)])
+    assert exc.value.code == 2 and not out.exists()
+    assert f"least n is {least}" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert main(["bench", "--suite", suite, "--n", str(least), "--seeds", "1", "--out", str(out)]) == 0
+    assert len(read_rows(out)) > 0
+
+
 def test_bench_accuracy_suite_csv(tmp_path):
     out = str(tmp_path / "acc.csv")
     assert main(["bench", "--suite", "accuracy", "--type", "fast", "--n", "60",

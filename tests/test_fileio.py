@@ -160,6 +160,15 @@ def test_pgm_rejects_malformed(tmp_path):
         fileio.write_pgm(str(tmp_path / "bad.pgm"), np.eye(2), maxval=0)
 
 
+@pytest.mark.parametrize("size", [b"-2 -3", b"0 4", b"4 0"])
+def test_pgm_rejects_sizes_below_one(tmp_path, size):
+    # -2 x -3 with 8 samples used to die in reshape with a ValueError
+    path = tmp_path / "size.pgm"
+    path.write_bytes(b"P2\n" + size + b"\n255\n" + b"1 " * 8)
+    with pytest.raises(IOError, match="size.pgm: bad image size"):
+        fileio.read_pgm(str(path))
+
+
 @pytest.mark.parametrize("samples", [b"0 -5 7\n1 2 3\n", b"0 5 7\n1.5 2 3\n"],
                          ids=["negative", "non-integer"])
 def test_pgm_rejects_invalid_ascii_samples(tmp_path, samples):

@@ -207,24 +207,27 @@ def head_stream_sketch(a, k, seed, panel):
 
 @pytest.mark.parametrize("rlm", [False, True])
 def test_dense_stream_sketch_bitwise_at_any_worker_count(tmp_path, monkeypatch, request, rlm):
-    # at 1031 rows and k = 30, the H products of the two full panels are
-    # split; the 88-column last panel's is under the floor
+    # at 1031 rows and k = 30: from .rlm, the H products of the two full
+    # 256-column panels are split and the 88-column last panel's is under
+    # the floor; in memory, the one 600-column panel's G (600 rows) and
+    # H (1031 rows) products are both split
     a = core.gaussian(21, 1031, 600)
     path = str(tmp_path / "a.rlm")
     fileio.write_rlra(path, a)
-    want = head_stream_sketch(a, 30, 4, singlepass.DEFAULT_PANEL)
+    want = head_stream_sketch(a, 30, 4, singlepass.DEFAULT_PANEL if rlm else a.shape[1])
     counts = []
     run_bands = accessors._run_bands
     monkeypatch.setattr(accessors, "_run_bands", lambda job, n: counts.append(n) or run_bands(job, n))
-    # an .rlm sweep also runs where more workers than cores read ahead
-    for workers in (1, 2, 8) if rlm else (1, 2):
+    # a sweep also runs where more workers than cores take its bands (and,
+    # from .rlm, read ahead)
+    for workers in (1, 2, 8):
         pool = futures.ThreadPoolExecutor(workers)
         request.addfinalizer(pool.shutdown)
         monkeypatch.setattr(accessors, "_pool", pool)
         stream = singlepass.RlraFileColumnStream(path) if rlm else singlepass.DenseColumnStream(a)
         g, h = singlepass.stream_sketch(stream, 30, 4)
         assert np.array_equal(g, want[0]) and np.array_equal(h, want[1])
-    assert counts == ([2, 2, 3, 3] if rlm else [2, 2])  # at 2 workers, then 8
+    assert counts == ([2, 2, 3, 3] if rlm else [2, 2, 2, 4])  # at 2 workers, then 8
 
 
 def rlm_file(tmp_path, m, n, seed):
@@ -428,3 +431,88 @@ def test_matrix_market_non_finite_raises(tmp_path, bad):
     fileio.write_mm(path, coo)
     with pytest.raises(NonFiniteInput):
         singlepass.single_pass_lu(singlepass.MatrixMarketColumnStream(path), 5, seed=0)
+
+
+class ForwardingStream:
+    """A wrapper that forwards only shape, columns_pulled and
+    panels(*args, **kwargs), as a tracing wrapper does; it records each
+    panel's start, its width and whether it is the inner stream's matrix."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.seen = []
+
+    @property
+    def shape(self):
+        return self.inner.shape
+
+    @property
+    def columns_pulled(self):
+        return self.inner.columns_pulled
+
+    def panels(self, *args, **kwargs):
+        for j0, block in self.inner.panels(*args, **kwargs):
+            self.seen.append((j0, block.shape[1], block is getattr(self.inner, "_a", None)))
+            yield j0, block
+
+
+def three_streams(tmp_path, m, n, seed):
+    """Makers of the dense, .mtx and .rlm streams of one sparse matrix."""
+    path, a = write_sparse_mtx(tmp_path, m, n, 0.1, seed)
+    rlm = str(tmp_path / "a.rlm")
+    fileio.write_rlra(rlm, a)
+    return {
+        "dense": lambda: singlepass.DenseColumnStream(a),
+        "mtx": lambda: singlepass.MatrixMarketColumnStream(path),
+        "rlm": lambda: singlepass.RlraFileColumnStream(rlm),
+    }
+
+
+def test_in_memory_streams_sweep_in_one_panel(tmp_path):
+    # the one panel is the stored matrix itself, never a slice copy, and the
+    # sketches are its two products, bitwise
+    makers = three_streams(tmp_path, 70, 45, seed=18)
+    for name in ("dense", "mtx"):
+        stream = makers[name]()
+        wrapped = ForwardingStream(stream)
+        g, h = singlepass.stream_sketch(wrapped, 5, seed=2)
+        assert wrapped.seen == [(0, 45, True)] and stream.columns_pulled == 45
+        a, om = stream._a, core.gaussian(2, 70, 5)
+        if name == "dense":
+            assert np.array_equal(g, accessors.dense_matmul(a.T, om))
+            assert np.array_equal(h, accessors.dense_matmul(a, g))
+        else:
+            assert np.array_equal(g, a.T @ om) and np.array_equal(h, a @ g)
+
+
+@pytest.mark.parametrize("panel", [1, 7, 16, 45, 64])
+def test_explicit_panel_width_is_honoured(tmp_path, panel):
+    makers = three_streams(tmp_path, 70, 45, seed=19)
+    widths = [min(panel, 45 - j0) for j0 in range(0, 45, panel)]
+    for name, make in makers.items():
+        stream = make()
+        wrapped = ForwardingStream(stream)
+        singlepass.stream_sketch(wrapped, 5, seed=2, panel=panel)
+        assert [w for _, w, _ in wrapped.seen] == widths, name
+        assert stream.columns_pulled == 45
+
+
+def test_file_stream_default_width_is_default_panel(tmp_path):
+    _, path = rlm_file(tmp_path, 40, 600, seed=22)
+    stream = singlepass.RlraFileColumnStream(path)
+    wrapped = ForwardingStream(stream)
+    singlepass.single_pass_lu(wrapped, 5, seed=0)
+    assert [w for _, w, _ in wrapped.seen] == [singlepass.DEFAULT_PANEL] * 2 + [88]
+    assert stream.columns_pulled == 600
+
+
+@pytest.mark.parametrize("q_os", [0, 5])
+def test_wrapped_stream_gives_the_bare_stream_factors(tmp_path, q_os):
+    # the width is chosen inside panels(), so a wrapper that only forwards
+    # panels(*args, **kwargs) sweeps as the bare stream does
+    makers = three_streams(tmp_path, 300, 280, seed=23)
+    for name, make in makers.items():
+        bare = singlepass.single_pass_lu(make(), 10, seed=6, q_os=q_os)
+        wrapped = singlepass.single_pass_lu(ForwardingStream(make()), 10, seed=6, q_os=q_os)
+        for field in ("p", "q", "L", "U"):
+            assert np.array_equal(getattr(bare, field), getattr(wrapped, field)), (name, field)
