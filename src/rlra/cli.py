@@ -261,7 +261,8 @@ def cmd_adapt(args):
         _write_lu(args.prefix, fac)
     print(
         f"matrix={args.infile} m={m} n={n} eps={args.tol:g} v={args.passes} "
-        f"seed={args.seed} rank={outcome.rank} residual_energy={outcome.residual_energy:.6e} "
+        f"seed={args.seed} rank={outcome.rank} width={outcome.width} "
+        f"residual_energy={outcome.residual_energy:.6e} "
         f"converged={str(outcome.converged).lower()} passes={acc.product_count} "
         f"rel_err={rel:.6e} wall_ms={wall:.1f}"
     )

@@ -3,19 +3,30 @@ factorization built on it.
 
 The residual energy E = ||A||_F^2 - sum_j ||A v_j||_F^2 is tracked by
 subtraction only; A is never updated or copied, and the whole search costs
-exactly v passes.  G = A V is formed whole in one pass, so the rank comes
-from one scan over its column energies.  The block size b of the paper's
+exactly v passes.  G = A V is formed in one pass, so the rank comes from
+one scan over its column energies.  The block size b of the paper's
 blocked search only sets the default sketch width (default_width, 50
 blocks): the scan returns the same rank, V and G for every b.
 powerlu_fp_restarting reruns the search with a wider sketch until it
 converges.
+
+The v-th pass is only as wide as the first v - 1 passes show it must be.
+The chain's last product is Z = A^T X, X the m x l basis it multiplied;
+with X = Q R (R = chol(X^T X)), the (v-1)-pass residual E_-(j) =
+||A||_F^2 - ||(Z R^{-1})[:, :j]||_F^2 bounds the residual E(j) of the
+first j columns of V = qr(Z).Q for every j.  Proof: span V_j =
+span(A^T X_j) = span(A^T Q_j), so Q_j Q_j^T A has its rows in span V_j,
+and A V_j V_j^T is the nearest such matrix to A: E(j) <= ||A - Q_j Q_j^T
+A||_F^2 = E_-(j).  So the v-th pass takes the w columns up to the first
+j where E_-(j) reaches the tolerance, and the scan over G = A V_w returns
+the rank and verdict of the full-width scan.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import fixedrank, rangefinder
+from . import fixedrank, kernels, rangefinder
 from .accessors import as_accessor
 from .errors import NotConverged, Unsatisfiable
 
@@ -27,6 +38,7 @@ class AdaptiveOutcome:
     G: np.ndarray  # m x rank, G = A @ V
     residual_energy: float  # final E, clamped at 0
     converged: bool
+    width: int  # columns of the last pass, rank <= width <= l
 
 
 # smallest resolvable tolerance: E is a difference of energies of size
@@ -74,15 +86,22 @@ def default_width(b, m, n):
 def adaptive_rank(a, params, seed):
     """Find the rank where the projection residual drops below eps * ||A||_F.
 
-    Builds the basis with v - 1 passes, spends one pass on G = A V, then
-    scans the columns of G (refine_rank).  Never converging within width l
-    returns the full outcome with converged=False.
+    Runs the v - 1 passes of rangefinder.row_chain, sizes the last pass
+    from its product (last_pass_width), spends that pass on G = A V with V
+    the QR of the first `width` columns of the product, then scans the
+    columns of G (refine_rank).  Since the QR keeps column prefixes, the
+    rank and converged equal those of a scan over all l columns (to
+    rounding, which last_pass_width's allowance covers), and the scan's own
+    energy still decides converged.  Never converging within
+    width l returns the full outcome with converged=False.
     """
     a = as_accessor(a)
-    basis = rangefinder.general_power_basis_v(a, params.l, params.v, seed)
-    g = a.matmul(basis)
+    z, x = rangefinder.row_chain(a, params.l, params.v, seed)
     total = a.fro_norm() ** 2
     acc = params.eps**2 * total
+    width = last_pass_width(z, x, total, acc)
+    basis = kernels.eqr(z[:, :width]).Q
+    g = a.matmul(basis)
     rank, e = refine_rank(g, total, acc)
     return AdaptiveOutcome(
         rank=rank,
@@ -90,7 +109,29 @@ def adaptive_rank(a, params, seed):
         G=g[:, :rank],
         residual_energy=max(e, 0.0),
         converged=e <= acc,
+        width=width,
     )
+
+
+def last_pass_width(z, x, total, acc):
+    """Columns the last pass needs: the least j with E_-(j) <= acc less a
+    rounding allowance of l u ||A||_F^2 (u the float64 machine epsilon),
+    where E_-(j) = total - ||(Z R^{-1})[:, :j]||_F^2, R = chol(X^T X), is
+    the (v-1)-pass residual of Z = A^T X (see the module docstring).
+
+    All l columns when no j reaches it, when the allowance leaves nothing
+    of acc (eps^2 <= l u), or when the Cholesky fails.
+    """
+    l = z.shape[1]
+    target = acc - l * np.finfo(np.float64).eps * total
+    if not target > 0:
+        return l
+    # an overflowing Gram is a failed Cholesky, as in kernels.eqr
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = kernels._chol_inv(x.T @ x)
+    if factor is None:
+        return l
+    return refine_rank(z @ factor[1], total, target)[0]
 
 
 def refine_rank(g, total, acc):

@@ -6,8 +6,10 @@ the row-unpermuted L of a pivoted LU between consecutive products, as in
 the paper's reorthogonalization (and fbpca's randomized SVD, Li et al.,
 ACM TOMS 2017).  The public finders differ only in the factorization of
 the last raw product: QR for power_basis_q (randsvd) and
-general_power_basis_v (powerlu, powerlu_fp), pivoted LU for
-power_basis_lu_l (randlu; with no renormalization, randlu_noreorth).
+general_power_basis_v (powerlu), pivoted LU for power_basis_lu_l (randlu;
+with no renormalization, randlu_noreorth).  powerlu_fp takes
+general_power_basis_v's chain bare (row_chain), with the basis its last
+product multiplied, and factors a column prefix of that product itself.
 
 Interior LU renormalizations preserve the span exactly when the sketch has
 full column rank.  The width l is checked against A's shape only
@@ -48,18 +50,18 @@ def _power_chain(a, l, products, seed, transpose_first=False, reorth=True):
     The start is core.rademacher(seed, n, l), or (m, l) when transpose_first
     sets A^T as the first product.  With reorth, _lu_basis runs between
     consecutive products (never after the last); without, the chain is raw.
-    Returns the last raw product.
+    Returns (Y, X): the last raw product Y and the matrix X that it
+    multiplied, the start itself when the chain is one product.
     """
     a = as_accessor(a)
     check_width(a, l)
     m, n = a.shape
-    x = core.rademacher(seed, m if transpose_first else n, l)
+    y = core.rademacher(seed, m if transpose_first else n, l)
     steps = (a.rmatmul, a.matmul) if transpose_first else (a.matmul, a.rmatmul)
     for i in range(products):
-        if i and reorth:
-            x = _lu_basis(x)
-        x = steps[i % 2](x)
-    return x
+        x = _lu_basis(y) if i and reorth else y
+        y = steps[i % 2](x)
+    return y, x
 
 
 def power_basis_q(a, l, p, seed):
@@ -70,7 +72,7 @@ def power_basis_q(a, l, p, seed):
     """
     if p < 0:
         raise ValueError("p must be >= 0")
-    return kernels.eqr(_power_chain(a, l, 2 * p + 1, seed)).Q
+    return kernels.eqr(_power_chain(a, l, 2 * p + 1, seed)[0]).Q
 
 
 def power_basis_lu_l(a, l, p, seed, _reorth=True):
@@ -84,7 +86,7 @@ def power_basis_lu_l(a, l, p, seed, _reorth=True):
     """
     if p < 0:
         raise ValueError("p must be >= 0")
-    return kernels.plu(_power_chain(a, l, 2 * p + 1, seed, reorth=_reorth))
+    return kernels.plu(_power_chain(a, l, 2 * p + 1, seed, reorth=_reorth)[0])
 
 
 def general_power_basis_v(a, l, v, seed):
@@ -97,4 +99,11 @@ def general_power_basis_v(a, l, v, seed):
     """
     if v < 2:
         raise ValueError("pass budget v must be >= 2")
-    return kernels.eqr(_power_chain(a, l, v - 1, seed, transpose_first=v % 2 == 0)).Q
+    return kernels.eqr(row_chain(a, l, v, seed)[0]).Q
+
+
+def row_chain(a, l, v, seed):
+    """The v - 1 products behind general_power_basis_v, the last one A^T X:
+    returns (Z, X), Z = A^T X being n x l and X m x l (the random-sign start
+    at v = 2, else the chain's last LU basis)."""
+    return _power_chain(a, l, v - 1, seed, transpose_first=v % 2 == 0)

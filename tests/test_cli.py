@@ -12,6 +12,7 @@ import scipy.sparse as sp
 
 import rlra
 from rlra import cli, core, fileio, fixedrank, matgen, singlepass
+from rlra.accessors import InstrumentedAccessor
 from rlra.cli import CSV_HEADER, main
 from projection_identities import OverstatedNorm, duplicated_rows
 
@@ -287,6 +288,31 @@ def test_adapt_reports_rank_and_convergence(tmp_path, capsys):
     assert info["converged"] == "true"
     assert info["passes"] == "4"
     assert float(info["rel_err"]) <= 1e-4
+
+
+def test_adapt_prints_the_last_pass_width(tmp_path, capsys, monkeypatch):
+    # width= is the column count of the attempt's last product: at least
+    # the rank, and below l once the chain bounds the residual
+    path = gen_file(tmp_path, "fast", 300, 300, seed=3)
+    widths = []
+
+    class Spy(InstrumentedAccessor):
+        def matmul(self, x):
+            widths.append(x.shape[1])
+            return super().matmul(x)
+
+        def rmatmul(self, x):
+            widths.append(x.shape[1])
+            return super().rmatmul(x)
+
+    monkeypatch.setattr(cli, "_load_accessor", lambda p: Spy(fileio.read_rlra(p)))
+    rc = main(["adapt", "--in", path, "--tol", "1e-4", "--block", "10",
+               "--l", "150", "--passes", "4", "--no-restart"])
+    assert rc == 0
+    info = parse_summary(capsys.readouterr().out.strip())
+    assert widths[:3] == [150] * 3 and len(widths) == 4
+    assert int(info["width"]) == widths[-1]
+    assert int(info["rank"]) <= widths[-1] < 150
 
 
 def test_adapt_no_restart_exit_3(tmp_path, capsys):

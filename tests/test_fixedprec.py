@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rlra import core, fixedprec, fixedrank, matgen
-from rlra.accessors import InstrumentedAccessor
+from rlra import core, fixedprec, fixedrank, kernels, matgen, rangefinder
+from rlra.accessors import InstrumentedAccessor, as_accessor
 from rlra.errors import NotConverged, Unsatisfiable
 from projection_identities import (
     OverstatedNorm,
@@ -139,7 +139,7 @@ def test_adaptive_rank_not_converged_keeps_full_outcome():
     params = fixedprec.PrecisionParams(eps=1e-6, b=10, l=20, v=4)
     out = fixedprec.adaptive_rank(a, params, seed=0)
     assert not out.converged
-    assert out.rank == 20
+    assert out.rank == out.width == 20
     assert out.V.shape == (120, 20)
     assert out.residual_energy > params.eps**2 * core.fro_norm(a) ** 2
 
@@ -250,6 +250,7 @@ def test_restarting_exact_rank_converges(monkeypatch, r, b, l):
     params = fixedprec.PrecisionParams(eps=1e-6, b=b, l=l, v=4)
     fac, out = fixedprec.powerlu_fp_restarting(acc, params, seed=0)
     assert out.converged and out.rank == r
+    assert r <= out.width <= l
     assert core.rel_fro_error(a, fixedrank.reconstruct(fac)) <= params.eps
     assert attempts == [(l, 0, 4)]
 
@@ -269,3 +270,149 @@ def test_width_exceeding_matrix_rejected():
     a = core.gaussian(11, 30, 25)
     with pytest.raises(ValueError, match="width"):
         fixedprec.adaptive_rank(a, fixedprec.PrecisionParams(1e-2, 10, 30, 4), seed=0)
+
+
+ALLOWANCE = np.finfo(np.float64).eps  # per column, times ||A||_F^2
+
+
+def operand(kind, m, n, seed=0):
+    """A dense decay matrix, or for kind "sparse" a sparse operand at
+    density 0.02, with its squared Frobenius norm."""
+    if kind == "sparse":
+        a = matgen.gen_sparse(m, n, 0.02, seed).sparse
+    else:
+        a, _ = matgen.gen_decay(kind, m, n, seed)
+    return a, as_accessor(a).fro_norm() ** 2
+
+
+def prefix_residuals(a, basis, side):
+    """||A - A V_j V_j^T||_F^2 (side "row", V = basis) or ||A - Q_j Q_j^T
+    A||_F^2 (side "col", Q = basis) for every prefix j, each formed directly."""
+    a = a.toarray() if hasattr(a, "toarray") else a
+    out = []
+    for j in range(1, basis.shape[1] + 1):
+        b = basis[:, :j]
+        r = a - (a @ b) @ b.T if side == "row" else a - b @ (b.T @ a)
+        out.append(core.fro_norm(r) ** 2)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("kind, m, n", [
+    ("fast", 120, 90), ("slow", 90, 120), ("sshaped", 120, 120), ("sparse", 150, 100),
+])
+@pytest.mark.parametrize("v", [2, 3, 4, 5, 6])
+def test_previous_pass_bounds_every_prefix(kind, m, n, v):
+    # E(j) of the v-pass basis V = qr(Z).Q is at most E_-(j), the residual
+    # of the basis X that Z = A^T X multiplied, for every prefix j
+    a, total = operand(kind, m, n, seed=v)
+    l = 40
+    z, x = rangefinder.row_chain(a, l, v, seed=1)
+    e_v = prefix_residuals(a, kernels.eqr(z).Q, "row")
+    e_prev = prefix_residuals(a, np.linalg.qr(x)[0], "col")
+    slack = l * ALLOWANCE * total
+    assert np.all(e_v <= e_prev + slack)
+    # last_pass_width is the first prefix where E_- meets its target
+    for acc in total * np.array([1e-1, 1e-2, 1e-4, 1e-8]):
+        target = acc - slack
+        w = fixedprec.last_pass_width(z, x, total, acc)
+        if w < l or e_prev[-1] <= target - slack:
+            assert e_prev[w - 1] <= target + slack
+        assert w == 1 or e_prev[w - 2] > target - slack
+
+
+def test_last_pass_width_full_without_cholesky_or_allowance():
+    a, total = operand("fast", 80, 60)
+    z, x = rangefinder.row_chain(a, 30, 4, seed=0)
+    assert fixedprec.last_pass_width(z, x, total, 1e-2 * total) < 30
+    # a singular X fails the Cholesky
+    assert fixedprec.last_pass_width(z, np.zeros_like(x), total, 1e-2 * total) == 30
+    # eps^2 at or below l u leaves no target
+    assert fixedprec.last_pass_width(z, x, total, 30 * ALLOWANCE * total) == 30
+    assert fixedprec.last_pass_width(z, x, 0.0, 0.0) == 30
+
+
+def operand_product(a, basis):
+    return as_accessor(a).matmul(basis)
+
+
+GRID_EPS = (0.5, 1e-2, 1e-4, 1e-6, 1e-7, 1.01 * fixedprec.EPS_FLOOR)
+
+
+def test_rank_and_converged_equal_the_full_width_scan():
+    # the last pass at width w gives the rank and verdict of the reference
+    # scan (the QR of the whole last product, the whole G, then the column
+    # scan) on every case of the grid
+    operands = [operand(kind, m, n) for kind in matgen.DECAY_KINDS
+                for m, n in ((300, 200), (600, 400), (200, 500))]
+    operands += [operand("sparse", 600, 400, seed=1), operand("sparse", 300, 500, seed=2)]
+    cases = narrowed = 0
+    for a, total in operands:
+        for l in (20, 60, 150):
+            for v in range(2, 7):
+                for seed in range(3):
+                    z, x = rangefinder.row_chain(a, l, v, seed)
+                    g_at = {l: operand_product(a, kernels.eqr(z).Q)}
+                    for eps in GRID_EPS:
+                        acc = eps**2 * total
+                        w = fixedprec.last_pass_width(z, x, total, acc)
+                        if w not in g_at:
+                            g_at[w] = operand_product(a, kernels.eqr(z[:, :w]).Q)
+                        rank, e = fixedprec.refine_rank(g_at[w], total, acc)
+                        ref_rank, ref_e = fixedprec.refine_rank(g_at[l], total, acc)
+                        assert (rank, e <= acc) == (ref_rank, ref_e <= acc), (l, v, seed, eps)
+                        cases += 1
+                        narrowed += w < l
+    assert cases == 2970
+    # v = 2, eps^2 <= l u and the unconverged cases keep all l columns
+    assert narrowed > cases // 6
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1.01 * fixedprec.EPS_FLOOR])
+def test_adaptive_rank_is_the_narrowed_scan(eps):
+    # adaptive_rank is the chain, last_pass_width, the QR of that prefix
+    # and the scan; at eps^2 <= l u it is the full-width scan bitwise
+    a, total = operand("fast", 300, 200)
+    params = fixedprec.PrecisionParams(eps, 10, 150, 4)
+    out = fixedprec.adaptive_rank(a, params, seed=4)
+    z, x = rangefinder.row_chain(a, 150, 4, seed=4)
+    width = fixedprec.last_pass_width(z, x, total, eps**2 * total)
+    assert out.width == width
+    basis = kernels.eqr(z[:, :width]).Q
+    assert np.array_equal(out.V, basis[:, :out.rank])
+    assert np.array_equal(out.G, operand_product(a, basis)[:, :out.rank])
+    if eps**2 <= 150 * ALLOWANCE:
+        assert width == 150 and np.array_equal(out.V, kernels.eqr(z).Q[:, :out.rank])
+
+
+class WidthSpy(InstrumentedAccessor):
+    """Counts products and records the width of each."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.widths = []
+
+    def matmul(self, x):
+        self.widths.append(x.shape[1])
+        return super().matmul(x)
+
+    def rmatmul(self, x):
+        self.widths.append(x.shape[1])
+        return super().rmatmul(x)
+
+
+@pytest.mark.parametrize("v", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("eps, converges", [(1e-2, True), (1e-7, False)])
+def test_last_pass_is_width_columns_wide(v, eps, converges):
+    a, _ = matgen.gen_decay("slow", 150, 120, seed=11)
+    acc = WidthSpy(a)
+    out = fixedprec.adaptive_rank(acc, fixedprec.PrecisionParams(eps, 10, 40, v), seed=0)
+    assert out.converged == converges
+    assert acc.product_count == v == len(acc.widths)
+    assert acc.widths == [40] * (v - 1) + [out.width]
+    assert out.rank <= out.width <= 40
+    assert out.V.shape == (120, out.rank) and out.G.shape == (150, out.rank)
+    # at v = 2, X is the random start, whose residual bounds nothing useful
+    if converges and v > 2:
+        assert out.width < 40
+    if not converges:
+        assert out.width == 40

@@ -1,6 +1,7 @@
 """tools/parity.py compare on small hand-made dumps: its exit code, the
 plain and up-to-signs differences, keys found in one dump only, and the
-one-ulp floor printed beside a difference."""
+one-ulp floor printed beside a difference, per driver and per (driver,
+matrix) cell."""
 
 import importlib.util
 import os
@@ -83,12 +84,50 @@ def test_floor_prints_beside_the_difference(parity, tmp_path, capsys):
     assert parity.main(["compare", before, after, "--floor", floor_path]) == 1
     out = capsys.readouterr().out
     assert out.splitlines()[0].endswith("one-ulp floor")
-    by_driver, by_matrix, _ = rows(out)
+    by_driver, by_matrix, _, cells, probe_cells = rows(out)
     assert float(by_driver["powerlu"][3]) == pytest.approx(1e-12, rel=1e-3)
     assert float(by_driver["powerlu"][5]) == pytest.approx(1e-9, rel=1e-3)
     assert by_driver["randsvd"][5] == "-"
     assert float(by_matrix["fast"][5]) == pytest.approx(1e-9, rel=1e-3)
+    assert float(cells["powerlu/fast"][6]) == pytest.approx(1e-3, rel=1e-3)
+    assert cells["randsvd/fast"][5:7] == ["-", "-"]
+    assert probe_cells == {}
     assert parity.main(["compare", before, before, "--floor", floor_path]) == 0
+
+
+def test_cell_floor_is_the_cells_own(parity, tmp_path, capsys):
+    # the floor moves the fast probe by 1e-6 and the slow one by 1e-13; the
+    # change moves the slow probe by 1e-12.  The driver rows read it against
+    # 1e-6; its cell reads it against its own 1e-13, ten times over
+    probe = np.arange(8.0).reshape(4, 2) + 1.0
+    keys = ("powerlu_fp|fast/m0|eps=0.001|s0|probe", "powerlu_fp|slow/m0|eps=0.001|s0|probe")
+    base = {key: probe for key in keys}
+    floor = {keys[0]: probe * (1 + 1e-6), keys[1]: probe * (1 + 1e-13)}
+    moved = {keys[0]: probe, keys[1]: probe * (1 + 1e-12)}
+    before = dump(tmp_path / "a.npz", base)
+    after = dump(tmp_path / "b.npz", moved)
+    floor_path = dump(tmp_path / "f.npz", floor)
+    assert parity.main(["compare", before, after, "--floor", floor_path]) == 1
+    lines = capsys.readouterr().out.strip().split("\n\n")
+    assert [block.split()[0] for block in lines] == ["driver", "matrix", "LU", "cell", "LU"]
+    assert lines[3].splitlines()[0].split()[-1] == "ratio"
+    by_driver, _, by_probe, cells, probe_cells = rows("\n\n".join(lines))
+    assert float(by_driver["powerlu_fp"][5]) == pytest.approx(1e-6, rel=1e-3)
+    assert float(by_probe["powerlu_fp"][5]) == pytest.approx(1e-6, rel=1e-3)
+    for table in (cells, probe_cells):
+        assert table["powerlu_fp/fast"][2:] == ["0", "-", "-", "1e-06", "-"]
+        slow = table["powerlu_fp/slow"]
+        assert slow[2] == "1" and float(slow[5]) == pytest.approx(1e-13, rel=1e-2)
+        assert float(slow[6]) == pytest.approx(10, rel=1e-2)
+    # without --floor no cell table is printed
+    assert parity.main(["compare", before, after]) == 1
+    assert len(rows(capsys.readouterr().out)) == 3
+
+
+def test_cell_ratio_when_the_floor_does_not_move(parity):
+    assert parity.ratio(None, None) == "-"
+    assert parity.ratio(2e-12, None) == "inf"
+    assert parity.ratio(2e-12, 1e-12) == "2"
 
 
 def test_one_ulp_moves_every_stored_entry(parity):

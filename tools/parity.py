@@ -5,7 +5,7 @@
 
 `dump` imports rlra from the source directory SRC (the `src` of a checkout)
 and runs powerlu v=2..5, randlu / randsvd / randlu_noreorth p=0..2,
-powerlu_fp at four tolerances and single_pass_lu over dense, row-major and
+powerlu_fp at five tolerances and single_pass_lu over dense, row-major and
 file streams with q_os 0 and 5, on fast 300x200, slow 500^2 and sparse
 600x400 matrices and at the benchmark shapes (2000^2 fast, 8000x2000 slow,
 20000^2 sparse).  Every output array is stored under
@@ -31,7 +31,12 @@ differ in method (Householder against CholeskyQR2) differ by about sqrt(2)
 plain and by rounding up to signs.  With `--floor`, a dump of BEFORE's
 source made with `--ulp`, each row also prints the worst difference up to
 column signs between BEFORE and the floor, so that a difference can be read
-against rounding.
+against rounding.  A floor row is the worst over every matrix (or driver),
+so `--floor` adds two tables per (driver, matrix) cell, all arrays and LU
+probes, with the cell's worst difference up to column signs, its own
+floor, and their ratio: a change on a well-conditioned matrix is read
+against that matrix's floor, not against one set by an ill-conditioned
+matrix.
 """
 
 import os
@@ -49,7 +54,7 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 import scipy.sparse as sp  # noqa: E402
 
-EPS_GRID = (0.999, 0.1, 1e-2, 1e-3)
+EPS_GRID = (0.999, 0.1, 1e-2, 1e-3, 1e-6)
 DRAW_SEEDS = (0, 1)
 PROBE_SEED, PROBE_COLUMNS = 12345, 4
 
@@ -200,26 +205,48 @@ def difference(x, y, signs=False):
     return float(np.linalg.norm(x - y) / scale) if scale > 0 else float("inf")
 
 
-def worst(diffs):
+def worst_value(diffs):
     numeric = [d for d in diffs if d is not None and not np.isnan(d)]
-    return f"{max(numeric):.3g}" if numeric else "-"
+    return max(numeric) if numeric else None
+
+
+def shown(value):
+    return "-" if value is None else f"{value:.3g}"
+
+
+def worst(diffs):
+    return shown(worst_value(diffs))
+
+
+def ratio(diff, floor):
+    """diff / floor as printed: "-" when nothing differs, "inf" when the
+    floor did not move."""
+    if diff is None:
+        return "-"
+    return f"{diff / floor:.3g}" if floor else "inf"
+
+
+CELL_TABLES = ("cell", "LU probe cell")
 
 
 def grouped_differences(x, y):
-    """Per table ("driver", "matrix", "LU probe") and row name, the
-    (plain, up to signs) difference of every key in either dump."""
-    groups = {"driver": defaultdict(list), "matrix": defaultdict(list),
-              "LU probe": defaultdict(list)}
+    """Per table ("driver", "matrix", "LU probe", and per (driver, matrix)
+    "cell" and "LU probe cell") and row name, the (plain, up to signs)
+    difference of every key in either dump."""
+    groups = {name: defaultdict(list) for name in ("driver", "matrix", "LU probe") + CELL_TABLES}
     for key in sorted(set(x) | set(y)):
         driver, matrix, *_, field = key.split("|")
         if key in x and key in y:
             d = (difference(x[key], y[key]), difference(x[key], y[key], signs=True))
         else:
             d = (float("nan"), float("nan"))
+        case = matrix.split("/")[0]
         groups["driver"][driver].append(d)
-        groups["matrix"][matrix.split("/")[0]].append(d)
+        groups["matrix"][case].append(d)
+        groups["cell"][f"{driver}/{case}"].append(d)
         if field == "probe":
             groups["LU probe"][driver].append(d)
+            groups["LU probe cell"][f"{driver}/{case}"].append(d)
     return groups
 
 
@@ -234,16 +261,23 @@ def compare(before, after, floor=None):
     floors = grouped_differences(x, load(floor)) if floor else None
     any_diff = False
     for by, table in groups.items():
-        print(f"{by:<20} {'arrays':>7} {'differ':>7} {'worst rel diff':>15} "
-              f"{'worst rel diff up to column signs':>34}" + (f" {'one-ulp floor':>14}" if floors else ""))
+        cells = by in CELL_TABLES
+        if cells and not floors:
+            continue
+        width = max([20, *map(len, table)]) + 1
+        print(f"{by:<{width}}{'arrays':>7} {'differ':>7} {'worst rel diff':>15} "
+              f"{'worst rel diff up to column signs':>34}" + (f" {'one-ulp floor':>14}" if floors else "")
+              + (f" {'ratio':>8}" if cells else ""))
         for name, pairs in table.items():
             plain, signed = zip(*pairs)
             differing = [d for d in plain if d is not None]
             other = sum(np.isnan(d) for d in differing)
             note = f"  ({other} not comparable: permutation, rank, error text or missing)" if other else ""
-            floor_cell = f" {worst(d for _, d in floors[by].get(name, ())):>14}" if floors else ""
-            print(f"{name:<20} {len(plain):>7} {len(differing):>7} {worst(plain):>15} "
-                  f"{worst(signed):>34}{floor_cell}{note}")
+            floor_value = worst_value(d for _, d in floors[by].get(name, ())) if floors else None
+            floor_cell = f" {shown(floor_value):>14}" if floors else ""
+            ratio_cell = f" {ratio(worst_value(signed), floor_value):>8}" if cells else ""
+            print(f"{name:<{width}}{len(plain):>7} {len(differing):>7} {worst(plain):>15} "
+                  f"{worst(signed):>34}{floor_cell}{ratio_cell}{note}")
             any_diff |= bool(differing)
         print()
     return 1 if any_diff else 0
