@@ -10,16 +10,23 @@ blocks): the scan returns the same rank, V and G for every b.
 powerlu_fp_restarting reruns the search with a wider sketch until it
 converges.
 
-The v-th pass is only as wide as the first v - 1 passes show it must be.
-The chain's last product is Z = A^T X, X the m x l basis it multiplied;
-with X = Q R (R = chol(X^T X)), the (v-1)-pass residual E_-(j) =
-||A||_F^2 - ||(Z R^{-1})[:, :j]||_F^2 bounds the residual E(j) of the
-first j columns of V = qr(Z).Q for every j.  Proof: span V_j =
-span(A^T X_j) = span(A^T Q_j), so Q_j Q_j^T A has its rows in span V_j,
-and A V_j V_j^T is the nearest such matrix to A: E(j) <= ||A - Q_j Q_j^T
-A||_F^2 = E_-(j).  So the v-th pass takes the w columns up to the first
-j where E_-(j) reaches the tolerance, and the scan over G = A V_w returns
-the rank and verdict of the full-width scan.
+Every pass from the third on, and the last, is only as wide as the
+product before it shows it must be.  Let Y = A^T X be a chain product of
+an m x w basis X = Q R (R = chol(X^T X)).  Then Y R^{-1} = A^T Q, so for
+every column prefix i, E_Y(i) = ||A||_F^2 - ||(Y R^{-1})[:, :i]||_F^2 =
+||A - Q_i Q_i^T A||_F^2.  E_Y(i) bounds the residual of the same prefix
+of whatever the chain makes of Y.  The next basis X' = lu(Y).L keeps
+column prefixes, so span X'_i = span Y_i = span(A^T Q_i): Q_i Q_i^T A has
+its rows in span X'_i, and A P_i (P_i the projector onto span X'_i) is
+the nearest such matrix to A, so E_{Y'}(i) = ||A - A P_i||_F^2 <= E_Y(i)
+for the next product Y' = A X'.  The same holds with A and A^T swapped,
+and for the last pass's V = qr(Z).Q in place of X'.  So the bound never
+grows from one product to the next at any prefix, and the chain may cut
+each product to the columns up to the first i where E_Y(i) reaches the
+tolerance (certified_width): the scan over G = A V returns the rank and
+verdict of the full-width chain's.  The first product multiplies the
+random start, whose residual bounds little, so it is cut only when it is
+the last (v = 2).
 """
 
 from dataclasses import dataclass, replace
@@ -86,21 +93,26 @@ def default_width(b, m, n):
 def adaptive_rank(a, params, seed):
     """Find the rank where the projection residual drops below eps * ||A||_F.
 
-    Runs the v - 1 passes of rangefinder.row_chain, sizes the last pass
-    from its product (last_pass_width), spends that pass on G = A V with V
-    the QR of the first `width` columns of the product, then scans the
-    columns of G (refine_rank).  Since the QR keeps column prefixes, the
-    rank and converged equal those of a scan over all l columns (to
-    rounding, which last_pass_width's allowance covers), and the scan's own
-    energy still decides converged.  Never converging within
-    width l returns the full outcome with converged=False.
+    Runs the v - 1 passes of rangefinder.row_chain, each product cut to the
+    columns that certified_width shows the rest of the chain needs, spends
+    the last pass on G = A V with V the QR of the chain's last product,
+    then scans the columns of G (refine_rank).  Since the cuts keep column
+    prefixes and the bound only falls along the chain, the rank and
+    converged equal those of the chain at full width l (to rounding, which
+    the l u ||A||_F^2 allowance covers), and the scan's own energy still
+    decides converged.  Never converging within width l returns the full
+    outcome with converged=False.
     """
     a = as_accessor(a)
-    z, x = rangefinder.row_chain(a, params.l, params.v, seed)
     total = a.fro_norm() ** 2
     acc = params.eps**2 * total
-    width = last_pass_width(z, x, total, acc)
-    basis = kernels.eqr(z[:, :width]).Q
+    # each energy is a difference of sums of size total, off by up to about
+    # l u total; no cut is made where that leaves nothing of acc
+    target = (params.eps**2 - params.l * np.finfo(np.float64).eps) * total
+    z = rangefinder.row_chain(
+        a, params.l, params.v, seed, keep=lambda y, x: certified_width(y, x, total, target)
+    )
+    basis = kernels.eqr(z).Q
     g = a.matmul(basis)
     rank, e = refine_rank(g, total, acc)
     return AdaptiveOutcome(
@@ -109,29 +121,27 @@ def adaptive_rank(a, params, seed):
         G=g[:, :rank],
         residual_energy=max(e, 0.0),
         converged=e <= acc,
-        width=width,
+        width=z.shape[1],
     )
 
 
-def last_pass_width(z, x, total, acc):
-    """Columns the last pass needs: the least j with E_-(j) <= acc less a
-    rounding allowance of l u ||A||_F^2 (u the float64 machine epsilon),
-    where E_-(j) = total - ||(Z R^{-1})[:, :j]||_F^2, R = chol(X^T X), is
-    the (v-1)-pass residual of Z = A^T X (see the module docstring).
+def certified_width(y, x, total, target):
+    """Columns of the product Y = A X (or A^T X) that the rest of the chain
+    needs: the least i with E_Y(i) = total - ||(Y R^{-1})[:, :i]||_F^2 <=
+    target, R = chol(X^T X) (see the module docstring).
 
-    All l columns when no j reaches it, when the allowance leaves nothing
-    of acc (eps^2 <= l u), or when the Cholesky fails.
+    All columns when no i reaches it, when target <= 0, or when the
+    Cholesky fails.
     """
-    l = z.shape[1]
-    target = acc - l * np.finfo(np.float64).eps * total
+    w = y.shape[1]
     if not target > 0:
-        return l
+        return w
     # an overflowing Gram is a failed Cholesky, as in kernels.eqr
     with np.errstate(over="ignore", invalid="ignore"):
         factor = kernels._chol_inv(x.T @ x)
     if factor is None:
-        return l
-    return refine_rank(z @ factor[1], total, target)[0]
+        return w
+    return refine_rank(y @ factor[1], total, target)[0]
 
 
 def refine_rank(g, total, acc):

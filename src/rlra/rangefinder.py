@@ -8,8 +8,8 @@ ACM TOMS 2017).  The public finders differ only in the factorization of
 the last raw product: QR for power_basis_q (randsvd) and
 general_power_basis_v (powerlu), pivoted LU for power_basis_lu_l (randlu;
 with no renormalization, randlu_noreorth).  powerlu_fp takes
-general_power_basis_v's chain bare (row_chain), with the basis its last
-product multiplied, and factors a column prefix of that product itself.
+general_power_basis_v's chain bare (row_chain), with a cut (keep) that
+narrows its products, and factors the last product itself.
 
 Interior LU renormalizations preserve the span exactly when the sketch has
 full column rank.  The width l is checked against A's shape only
@@ -44,14 +44,20 @@ def check_width(a, l):
         raise ValueError(f"sketch width {l} outside 1..min{(m, n)}")
 
 
-def _power_chain(a, l, products, seed, transpose_first=False, reorth=True):
-    """The l-wide chain of `products` products, A and A^T in turn.
+def _power_chain(a, l, products, seed, transpose_first=False, reorth=True, keep=None):
+    """The chain of `products` products, A and A^T in turn, from an l-wide
+    start.
 
     The start is core.rademacher(seed, n, l), or (m, l) when transpose_first
     sets A^T as the first product.  With reorth, _lu_basis runs between
     consecutive products (never after the last); without, the chain is raw.
-    Returns (Y, X): the last raw product Y and the matrix X that it
-    multiplied, the start itself when the chain is one product.
+    keep(y, x), when given, cuts each product Y = A X or A^T X to its first
+    keep(y, x) columns before anything else reads it: after every product
+    whose X is an LU basis (the second on), and after the last.  The next
+    renormalization and product then run on the narrower block (pivoted LU
+    keeps column prefixes), so a cut chain still spends exactly `products`
+    products.  Returns the last product: l wide, or as wide as keep left
+    it.
     """
     a = as_accessor(a)
     check_width(a, l)
@@ -61,7 +67,9 @@ def _power_chain(a, l, products, seed, transpose_first=False, reorth=True):
     for i in range(products):
         x = _lu_basis(y) if i and reorth else y
         y = steps[i % 2](x)
-    return y, x
+        if keep is not None and (i or i == products - 1):
+            y = y[:, : keep(y, x)]
+    return y
 
 
 def power_basis_q(a, l, p, seed):
@@ -72,7 +80,7 @@ def power_basis_q(a, l, p, seed):
     """
     if p < 0:
         raise ValueError("p must be >= 0")
-    return kernels.eqr(_power_chain(a, l, 2 * p + 1, seed)[0]).Q
+    return kernels.eqr(_power_chain(a, l, 2 * p + 1, seed)).Q
 
 
 def power_basis_lu_l(a, l, p, seed, _reorth=True):
@@ -86,7 +94,7 @@ def power_basis_lu_l(a, l, p, seed, _reorth=True):
     """
     if p < 0:
         raise ValueError("p must be >= 0")
-    return kernels.plu(_power_chain(a, l, 2 * p + 1, seed, reorth=_reorth)[0])
+    return kernels.plu(_power_chain(a, l, 2 * p + 1, seed, reorth=_reorth))
 
 
 def general_power_basis_v(a, l, v, seed):
@@ -99,11 +107,11 @@ def general_power_basis_v(a, l, v, seed):
     """
     if v < 2:
         raise ValueError("pass budget v must be >= 2")
-    return kernels.eqr(row_chain(a, l, v, seed)[0]).Q
+    return kernels.eqr(row_chain(a, l, v, seed)).Q
 
 
-def row_chain(a, l, v, seed):
-    """The v - 1 products behind general_power_basis_v, the last one A^T X:
-    returns (Z, X), Z = A^T X being n x l and X m x l (the random-sign start
-    at v = 2, else the chain's last LU basis)."""
-    return _power_chain(a, l, v - 1, seed, transpose_first=v % 2 == 0)
+def row_chain(a, l, v, seed, keep=None):
+    """The v - 1 products behind general_power_basis_v: returns the last
+    one, Z = A^T X (X the random-sign start at v = 2, else the chain's last
+    LU basis), n x l, or with keep (see _power_chain) n x w for w <= l."""
+    return _power_chain(a, l, v - 1, seed, transpose_first=v % 2 == 0, keep=keep)

@@ -297,38 +297,71 @@ def prefix_residuals(a, basis, side):
     return np.array(out)
 
 
+def chain_products(a, l, v, seed, target=None):
+    """Every product of row_chain that keep sees, in chain order, as (Y, X,
+    side): side "row" for Y = A X, "col" for Y = A^T X, the side of
+    prefix_residuals that gives Y's residual.  With a target, each is then
+    cut by certified_width, as adaptive_rank cuts it; the last Y is the
+    returned Z."""
+    seen = []
+    total = as_accessor(a).fro_norm() ** 2
+
+    def keep(y, x):
+        seen.append((y, x))
+        return y.shape[1] if target is None else fixedprec.certified_width(y, x, total, target)
+
+    z = rangefinder.row_chain(a, l, v, seed, keep=keep)
+    # the last product is A^T X; the sides alternate before it
+    sides = ["col" if (len(seen) - 1 - j) % 2 == 0 else "row" for j in range(len(seen))]
+    return [(y, x, side) for (y, x), side in zip(seen, sides)], z
+
+
 @pytest.mark.parametrize("kind, m, n", [
     ("fast", 120, 90), ("slow", 90, 120), ("sshaped", 120, 120), ("sparse", 150, 100),
 ])
 @pytest.mark.parametrize("v", [2, 3, 4, 5, 6])
 def test_previous_pass_bounds_every_prefix(kind, m, n, v):
-    # E(j) of the v-pass basis V = qr(Z).Q is at most E_-(j), the residual
-    # of the basis X that Z = A^T X multiplied, for every prefix j
+    # E_Y(i), the residual of the basis X that a product Y multiplied, never
+    # grows (beyond the allowance) from one product to the next, on either
+    # side, down to the last pass's V = qr(Z).Q, at every prefix i; and
+    # certified_width is the first prefix where E_Y meets its target
     a, total = operand(kind, m, n, seed=v)
     l = 40
-    z, x = rangefinder.row_chain(a, l, v, seed=1)
-    e_v = prefix_residuals(a, kernels.eqr(z).Q, "row")
-    e_prev = prefix_residuals(a, np.linalg.qr(x)[0], "col")
     slack = l * ALLOWANCE * total
-    assert np.all(e_v <= e_prev + slack)
-    # last_pass_width is the first prefix where E_- meets its target
-    for acc in total * np.array([1e-1, 1e-2, 1e-4, 1e-8]):
-        target = acc - slack
-        w = fixedprec.last_pass_width(z, x, total, acc)
-        if w < l or e_prev[-1] <= target - slack:
-            assert e_prev[w - 1] <= target + slack
-        assert w == 1 or e_prev[w - 2] > target - slack
+    products, z = chain_products(a, l, v, seed=1)
+    assert len(products) == max(v - 2, 1)
+    bounds = [prefix_residuals(a, np.linalg.qr(x)[0], side) for _, x, side in products]
+    bounds.append(prefix_residuals(a, kernels.eqr(z).Q, "row"))
+    for before, after in zip(bounds, bounds[1:]):
+        assert np.all(after <= before + slack)
+    for (y, x, _), e in zip(products, bounds):
+        for target in total * np.array([1e-1, 1e-2, 1e-4, 1e-8]) - slack:
+            w = fixedprec.certified_width(y, x, total, target)
+            if w < l or e[-1] <= target - slack:
+                assert e[w - 1] <= target + slack
+            assert w == 1 or e[w - 2] > target - slack
+    # the cut chain: each product is as wide as the one before it certified
+    # and still bounds the prefixes it keeps
+    target = 1e-2 * total - slack
+    products, z = chain_products(a, l, v, seed=1, target=target)
+    widths = [y.shape[1] for y, _, _ in products] + [z.shape[1]]
+    assert widths == sorted(widths, reverse=True)
+    bounds = [prefix_residuals(a, np.linalg.qr(x)[0], side) for _, x, side in products]
+    bounds.append(prefix_residuals(a, kernels.eqr(z).Q, "row"))
+    for before, after in zip(bounds, bounds[1:]):
+        assert np.all(after <= before[: after.size] + slack)
 
 
-def test_last_pass_width_full_without_cholesky_or_allowance():
+def test_certified_width_full_without_cholesky_or_target():
     a, total = operand("fast", 80, 60)
-    z, x = rangefinder.row_chain(a, 30, 4, seed=0)
-    assert fixedprec.last_pass_width(z, x, total, 1e-2 * total) < 30
+    z, x, _ = chain_products(a, 30, 4, seed=0)[0][-1]
+    assert fixedprec.certified_width(z, x, total, 1e-2 * total) < 30
     # a singular X fails the Cholesky
-    assert fixedprec.last_pass_width(z, np.zeros_like(x), total, 1e-2 * total) == 30
-    # eps^2 at or below l u leaves no target
-    assert fixedprec.last_pass_width(z, x, total, 30 * ALLOWANCE * total) == 30
-    assert fixedprec.last_pass_width(z, x, 0.0, 0.0) == 30
+    assert fixedprec.certified_width(z, np.zeros_like(x), total, 1e-2 * total) == 30
+    # no positive target, no cut
+    assert fixedprec.certified_width(z, x, total, 0.0) == 30
+    assert fixedprec.certified_width(z, x, total, -total) == 30
+    assert fixedprec.certified_width(z, x, 0.0, 0.0) == 30
 
 
 def operand_product(a, basis):
@@ -339,76 +372,98 @@ GRID_EPS = (0.5, 1e-2, 1e-4, 1e-6, 1e-7, 1.01 * fixedprec.EPS_FLOOR)
 
 
 def test_rank_and_converged_equal_the_full_width_scan():
-    # the last pass at width w gives the rank and verdict of the reference
-    # scan (the QR of the whole last product, the whole G, then the column
-    # scan) on every case of the grid
+    # adaptive_rank, every product cut to its certified width, gives the
+    # rank and verdict of the reference scan (the uncut chain, the QR of
+    # its whole last product, the whole G, then the column scan) on every
+    # case of the grid
     operands = [operand(kind, m, n) for kind in matgen.DECAY_KINDS
                 for m, n in ((300, 200), (600, 400), (200, 500))]
     operands += [operand("sparse", 600, 400, seed=1), operand("sparse", 300, 500, seed=2)]
-    cases = narrowed = 0
+    cases = narrowed = interior = 0
     for a, total in operands:
         for l in (20, 60, 150):
             for v in range(2, 7):
                 for seed in range(3):
-                    z, x = rangefinder.row_chain(a, l, v, seed)
-                    g_at = {l: operand_product(a, kernels.eqr(z).Q)}
+                    z = rangefinder.row_chain(a, l, v, seed)
+                    g = operand_product(a, kernels.eqr(z).Q)
                     for eps in GRID_EPS:
                         acc = eps**2 * total
-                        w = fixedprec.last_pass_width(z, x, total, acc)
-                        if w not in g_at:
-                            g_at[w] = operand_product(a, kernels.eqr(z[:, :w]).Q)
-                        rank, e = fixedprec.refine_rank(g_at[w], total, acc)
-                        ref_rank, ref_e = fixedprec.refine_rank(g_at[l], total, acc)
-                        assert (rank, e <= acc) == (ref_rank, ref_e <= acc), (l, v, seed, eps)
+                        spy = WidthSpy(a)
+                        out = fixedprec.adaptive_rank(spy, fixedprec.PrecisionParams(eps, 10, l, v), seed)
+                        ref_rank, ref_e = fixedprec.refine_rank(g, total, acc)
+                        assert (out.rank, out.converged) == (ref_rank, ref_e <= acc), (l, v, seed, eps)
+                        assert spy.product_count == v
                         cases += 1
-                        narrowed += w < l
+                        narrowed += out.width < l
+                        # the input of the chain's last product is narrower
+                        # than l only when an interior product was cut
+                        interior += spy.widths[v - 2] < l
     assert cases == 2970
     # v = 2, eps^2 <= l u and the unconverged cases keep all l columns
     assert narrowed > cases // 6
+    assert interior > 400
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1.01 * fixedprec.EPS_FLOOR])
 def test_adaptive_rank_is_the_narrowed_scan(eps):
-    # adaptive_rank is the chain, last_pass_width, the QR of that prefix
-    # and the scan; at eps^2 <= l u it is the full-width scan bitwise
+    # adaptive_rank is the chain with every product cut by certified_width
+    # at target eps^2 ||A||_F^2 - l u ||A||_F^2, the QR of its last product
+    # and the scan; at eps^2 <= l u it is the full-width chain bitwise
     a, total = operand("fast", 300, 200)
     params = fixedprec.PrecisionParams(eps, 10, 150, 4)
     out = fixedprec.adaptive_rank(a, params, seed=4)
-    z, x = rangefinder.row_chain(a, 150, 4, seed=4)
-    width = fixedprec.last_pass_width(z, x, total, eps**2 * total)
-    assert out.width == width
-    basis = kernels.eqr(z[:, :width]).Q
+    target = (eps**2 - 150 * ALLOWANCE) * total
+    products, z = chain_products(a, 150, 4, seed=4, target=target)
+    assert out.width == z.shape[1]
+    basis = kernels.eqr(z).Q
     assert np.array_equal(out.V, basis[:, :out.rank])
     assert np.array_equal(out.G, operand_product(a, basis)[:, :out.rank])
     if eps**2 <= 150 * ALLOWANCE:
-        assert width == 150 and np.array_equal(out.V, kernels.eqr(z).Q[:, :out.rank])
+        full = rangefinder.row_chain(a, 150, 4, seed=4)
+        assert out.width == 150 and np.array_equal(out.V, kernels.eqr(full).Q[:, :out.rank])
+    else:
+        # the third product already runs narrower than l
+        assert products[1][0].shape[1] < 150
 
 
 class WidthSpy(InstrumentedAccessor):
-    """Counts products and records the width of each."""
+    """Counts products and records the width, input and output of each."""
 
     def __init__(self, inner):
         super().__init__(inner)
         self.widths = []
+        self.products = []
 
     def matmul(self, x):
         self.widths.append(x.shape[1])
-        return super().matmul(x)
+        self.products.append((x, super().matmul(x)))
+        return self.products[-1][1]
 
     def rmatmul(self, x):
         self.widths.append(x.shape[1])
-        return super().rmatmul(x)
+        self.products.append((x, super().rmatmul(x)))
+        return self.products[-1][1]
 
 
 @pytest.mark.parametrize("v", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("eps, converges", [(1e-2, True), (1e-7, False)])
 def test_last_pass_is_width_columns_wide(v, eps, converges):
-    a, _ = matgen.gen_decay("slow", 150, 120, seed=11)
+    # the first product is l wide, and so is the second unless it is the
+    # last pass; widths never grow, and each product's width is the
+    # certificate of the product before it (the first product is cut only
+    # when it is the chain's last, at v = 2)
+    a, total = operand("slow", 150, 120, seed=11)
     acc = WidthSpy(a)
     out = fixedprec.adaptive_rank(acc, fixedprec.PrecisionParams(eps, 10, 40, v), seed=0)
     assert out.converged == converges
     assert acc.product_count == v == len(acc.widths)
-    assert acc.widths == [40] * (v - 1) + [out.width]
+    assert acc.widths[: min(2, v - 1)] == [40] * min(2, v - 1)
+    assert acc.widths == sorted(acc.widths, reverse=True)
+    assert acc.widths[-1] == out.width
+    target = (eps**2 - 40 * ALLOWANCE) * total
+    for j, (x, y) in enumerate(acc.products[: v - 1]):
+        if j or v == 2:
+            assert acc.widths[j + 1] == fixedprec.certified_width(y, x, total, target)
     assert out.rank <= out.width <= 40
     assert out.V.shape == (120, out.rank) and out.G.shape == (150, out.rank)
     # at v = 2, X is the random start, whose residual bounds nothing useful

@@ -139,3 +139,24 @@ def test_one_ulp_moves_every_stored_entry(parity):
         assert np.array_equal(got, np.nextafter(values, np.inf))
         assert type(moved) is type(a)
     assert sparse.data[0] == 1.0  # the input is not touched
+
+
+def test_powerlu_fp_runs_at_v6_on_the_small_matrices(parity, tmp_path, monkeypatch):
+    # the small cases add a powerlu_fp_v6 driver row, at the case's l and b
+    # and at every tolerance; the benchmark shapes do not
+    from rlra import fixedprec, matgen
+
+    calls = []
+    monkeypatch.setattr(fixedprec, "powerlu_fp", lambda a, params, seed: calls.append(params))
+    small, big = parity.CASES[0], parity.CASES[3]
+    a, _ = matgen.gen_decay(small.kind, small.m, small.n, 0)
+    runs = [(d, p, call) for d, p, call in parity.driver_runs(small, a, tmp_path)
+            if d.startswith("powerlu_fp")]
+    for _, _, call in runs:
+        call(0)
+    b, l, v = small.fp
+    assert [d for d, _, _ in runs] == ["powerlu_fp"] * 5 + ["powerlu_fp_v6"] * 5
+    assert [(p.b, p.l, p.v) for p in calls] == [(b, l, v)] * 5 + [(b, l, 6)] * 5
+    assert [p.eps for p in calls] == list(parity.EPS_GRID) * 2
+    assert all(case.fp_more_v == (6,) for case in parity.CASES[:3])
+    assert big.fp_more_v == ()

@@ -189,6 +189,35 @@ def test_general_power_basis_v_chain_order(v):
     assert np.array_equal(rangefinder.general_power_basis_v(acc, 8, v, seed=3), _q(x))
 
 
+@pytest.mark.parametrize("v", [2, 3, 4, 5, 6])
+def test_row_chain_cuts_after_lu_products_and_the_last(v):
+    # keep runs after every product whose input is an LU basis, and after
+    # the last: here it drops one column each time, and the next LU and
+    # product run on what is left
+    acc = _chain_input(v)
+    m, n = acc.shape
+    x = core.rademacher(3, m if v % 2 == 0 else n, 8)
+    for i in range(v - 1):
+        if i:
+            x = _lu_l(x)
+        y = acc.rmatmul(x) if (i + v) % 2 == 0 else acc.matmul(x)
+        x = y[:, :-1] if i or i == v - 2 else y
+    calls = []
+
+    def keep(y, x):
+        calls.append((y.shape[1], x.shape[1]))
+        return y.shape[1] - 1
+
+    z = rangefinder.row_chain(acc, 8, v, seed=3, keep=keep)
+    assert np.array_equal(z, x)
+    cut = [(8, 8)] if v == 2 else [(8 - j, 8 - j) for j in range(v - 2)]
+    assert calls == cut
+    # a keep that cuts nothing leaves the chain bitwise unchanged
+    full = rangefinder.row_chain(acc, 8, v, seed=3, keep=lambda y, x: y.shape[1])
+    plain = rangefinder.row_chain(acc, 8, v, seed=3)
+    assert np.array_equal(full, plain)
+
+
 @pytest.mark.parametrize("p", [0, 1, 2])
 def test_power_basis_chain_order(p):
     # one chain for both: A first, then A^T and A p times each, with the

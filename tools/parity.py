@@ -8,7 +8,9 @@ and runs powerlu v=2..5, randlu / randsvd / randlu_noreorth p=0..2,
 powerlu_fp at five tolerances and single_pass_lu over dense, row-major and
 file streams with q_os 0 and 5, on fast 300x200, slow 500^2 and sparse
 600x400 matrices and at the benchmark shapes (2000^2 fast, 8000x2000 slow,
-20000^2 sparse).  Every output array is stored under
+20000^2 sparse).  On the three small matrices powerlu_fp also runs at
+v = 6, as the driver `powerlu_fp_v6`, whose chain cuts more than one
+interior product.  Every output array is stored under
 `driver|matrix|params|seed|field`; a raised error is stored as its text.
 Each LU result also stores the field `probe`, A_k @ Z for its m x n
 reconstruction A_k and a fixed Gaussian Z (n x 4): the permutations are
@@ -69,12 +71,13 @@ class Case:
     fp: tuple  # powerlu_fp (b, l, v)
     matrix_seeds: tuple
     density: float = 0.0
+    fp_more_v: tuple = ()  # powerlu_fp pass budgets run besides fp's v
 
 
 CASES = (
-    Case("fast300x200", "fast", 300, 200, 20, (10, 100, 4), (0, 1)),
-    Case("slow500", "slow", 500, 500, 20, (10, 100, 4), (0, 1)),
-    Case("sparse600x400", "sparse", 600, 400, 20, (10, 100, 4), (0, 1), density=0.01),
+    Case("fast300x200", "fast", 300, 200, 20, (10, 100, 4), (0, 1), fp_more_v=(6,)),
+    Case("slow500", "slow", 500, 500, 20, (10, 100, 4), (0, 1), fp_more_v=(6,)),
+    Case("sparse600x400", "sparse", 600, 400, 20, (10, 100, 4), (0, 1), density=0.01, fp_more_v=(6,)),
     Case("fast2000", "fast", 2000, 2000, 100, (10, 200, 4), (0,)),
     Case("slow8000x2000", "slow", 8000, 2000, 10, (10, 30, 4), (0,)),
     Case("sparse20000", "sparse", 20000, 20000, 30, (10, 40, 4), (0,), density=1e-3),
@@ -122,9 +125,9 @@ def driver_runs(case, a, workdir):
         fn = getattr(fixedrank, name)
         runs += [(name, f"p={p}", lambda s, fn=fn, p=p: fn(a, k, p=p, seed=s)) for p in range(3)]
     b, l, v = case.fp
-    runs += [("powerlu_fp", f"eps={eps:g}",
-              lambda s, eps=eps: fixedprec.powerlu_fp(a, fixedprec.PrecisionParams(eps, b, l, v), s))
-             for eps in EPS_GRID]
+    runs += [("powerlu_fp" if w == v else f"powerlu_fp_v{w}", f"eps={eps:g}",
+              lambda s, eps=eps, w=w: fixedprec.powerlu_fp(a, fixedprec.PrecisionParams(eps, b, l, w), s))
+             for w in (v, *case.fp_more_v) for eps in EPS_GRID]
 
     # stream label -> (driver function, its first argument, made per call)
     sparse = case.kind == "sparse"
