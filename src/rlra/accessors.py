@@ -8,6 +8,17 @@ the pass budgets are asserted.  The dense and sparse accessors reject a
 product with NaN or infinite entries (NonFiniteInput), reading only the
 product, never A.
 
+A product returned by matmul or rmatmul belongs to the caller, and the
+library may overwrite it when it is writeable: the drivers factor their
+sketches by LU in the product's own buffer.  An accessor that keeps a
+product (a cache, a spy) returns a read-only view of it, which the library
+copies before it writes.  Layout: a dense product and a sparse product
+split into bands come back F-ordered, the layout getrf factors in place; a
+sparse product of at most BAND_ROWS rows is SciPy's own C-ordered array,
+which is copied once before it is factored.  X may come in any layout (a
+sparse product reads it C-ordered, the layout the interior LU
+renormalizations write).  The layout never changes a product's values.
+
 Dense products (dense_matmul) are computed as (X^T A^T)^T, so that the long
 side of the result leads in the GEMM (OpenBLAS runs a short leading side up
 to 2.5x slower), into an F-ordered result.  From 2 * DENSE_BAND_WORK
@@ -19,10 +30,11 @@ and factors do not depend on the worker count (see DENSE_BAND_ROWS).
 
 Sparse products run over cached bands of A, BAND_ROWS result rows each:
 row bands in CSC for A @ X, column bands in CSR for A.T @ X (kept as their
-CSC transposes).  A band scatters into its own slice of the result, which
+CSC transposes).  A band scatters into a temporary of its rows, which
 stays in cache, summing each row's terms in the order of one SciPy product,
-so on a canonical CSC (sorted indices, no duplicates) products are bitwise
-a @ x and a.T @ x whatever the worker count.  The bands (about 24 bytes per
+and copies it into its rows of the F-ordered result, so on a canonical CSC
+(sorted indices, no duplicates) products are bitwise a @ x and a.T @ x
+whatever the worker count.  The bands (about 24 bytes per
 nonzero, plus 4 per band and column or row) are each built by the worker
 that first multiplies it, at about the cost of one product, so reuse one
 accessor: as_accessor on a raw sparse matrix makes a new one per call.  A
@@ -119,7 +131,7 @@ class SparseAccessor:
             self._bands[side] = [None] * -(-a.shape[0] // height)
         bands = self._bands[side]
         x = np.ascontiguousarray(x)  # once, not once per band
-        out = np.empty((a.shape[0],) + x.shape[1:], dtype=np.result_type(a.dtype, x.dtype))
+        out = np.empty((a.shape[0],) + x.shape[1:], dtype=np.result_type(a.dtype, x.dtype), order="F")
         _run_bands(lambda i: _band_product(a, bands, i, height, x, out), len(bands))
         return out
 

@@ -140,7 +140,8 @@ def powerlu(a, k, q_os=10, v=3, seed=0):
     a = as_accessor(a)
     _validate_rank(a, k, q_os)
     vk = rangefinder.general_power_basis_v(a, k, v, seed)
-    return lu_from_projection(a.matmul(vk), vk)
+    # G = A V is this call's own: it is factored in its own buffer
+    return _assemble_from_projection(kernels._plu_in_place(a.matmul(vk)), vk)
 
 
 def lu_from_projection(g, vk):
@@ -148,10 +149,16 @@ def lu_from_projection(g, vk):
 
     lu(G) -> (L1, U1, p), then the column-pivot assembly of T = (U1 V^T)^T.
     The only approximation in the caller is A ~ A V V^T; these steps are
-    exact.
+    exact.  g and vk are left unchanged.
     """
-    l1, u1, perm = kernels.plu(g)
-    return column_pivot_assembly(l1, perm, (u1 @ vk.T).T)
+    return _assemble_from_projection(kernels.plu(g), vk)
+
+
+def _assemble_from_projection(f, vk):
+    """lu_from_projection from f = lu(G).  T = (U1 V^T)^T is made here,
+    F-ordered, so it is factored in its own buffer."""
+    l1, u1, perm = f
+    return _assemble(l1, perm, kernels._plu_in_place((u1 @ vk.T).T))
 
 
 def column_pivot_assembly(l1, p, t):
@@ -159,9 +166,15 @@ def column_pivot_assembly(l1, p, t):
 
     Given the row side L1 (m x r, rows permuted by p) and T (n x r), where
     the factorization sought is A[p, :] ~ L1 T^T: lu(T) -> (L2, U2, q),
-    L = L1 U2^T, U = L2^T.  The rank is the width r of L1.
+    L = L1 U2^T, U = L2^T.  The rank is the width r of L1.  t is left
+    unchanged.
     """
-    l2, u2, q = kernels.plu(t)  # column pivoting via the transpose
+    return _assemble(l1, p, kernels.plu(t))  # column pivoting via the transpose
+
+
+def _assemble(l1, p, f):
+    """column_pivot_assembly from f = lu(T)."""
+    l2, u2, q = f
     return LowRankLU(p=p, q=q, L=l1 @ u2.T, U=l2.T, rank=l1.shape[1])
 
 

@@ -1,6 +1,8 @@
 """Dense factorization kernels: pivoted LU, economy QR, the cut pseudoinverse.
 
-The LU elimination runs on LAPACK getrf through rlra.backend.  Every QR
+The LU elimination runs on LAPACK getrf through rlra.backend: plu copies
+its input, and the library's own sketches and products are factored in
+their own buffers (_plu_in_place).  Every QR
 goes through eqr: CholeskyQR2 (two Gram / Cholesky / GEMM sweeps) when a
 certificate shows it is accurate, and Householder QR on LAPACK otherwise;
 SVD is delegated to LAPACK.  All shapes are economy: r = min(m, n).  Every
@@ -44,23 +46,35 @@ class LowRankSVD(NamedTuple):
 def plu(a):
     """Partial-pivot LU: returns (L, U, p) with A[p, :] = L @ U.
 
-    The input is copied once, into an F-ordered work array, factored in
-    place by getrf, and its triangles are tidied: L is the unit-lower view
-    lu[:, :r] of the work array (a copy of it when the input is wide, so
-    that L holds no unused columns), U a copy of its upper triangle.  The
-    pivot is the max-magnitude entry of the active column, so every
-    multiplier is at most 1 in magnitude.  Rank-deficient input is handled
-    without error: a dependent column leaves a zero or round-off sized
-    pivot, which nothing downstream reads as a rank decision.
+    a is never modified: it is copied once, into an F-ordered work array
+    that _plu_in_place factors.  The pivot is the max-magnitude entry of the
+    active column, so every multiplier is at most 1 in magnitude.
+    Rank-deficient input is handled without error: a dependent column leaves
+    a zero or round-off sized pivot, which nothing downstream reads as a
+    rank decision.
     """
     lu = np.array(a, dtype=np.float64, order="F")
     if lu.ndim != 2:
         raise ValueError(f"expected a 2-d array, got ndim={lu.ndim}")
+    return _plu_in_place(lu)
+
+
+def _plu_in_place(lu, upper=True):
+    """plu of a 2-d array that the caller gives up and never reads again.
+
+    An F-ordered, writeable float64 lu is factored by getrf in its own
+    buffer; any other is copied once first.  L is the unit-lower view
+    lu[:, :r] of that buffer (a copy of it when lu is wide, so that L holds
+    no unused columns) and U a copy of its upper triangle, or None unless
+    upper: the library's own sketches and products go through here.
+    """
+    if not (lu.flags.f_contiguous and lu.flags.writeable and lu.dtype == np.float64):
+        lu = np.array(lu, dtype=np.float64, order="F")
     m, n = lu.shape
     piv = np.arange(m, dtype=np.int64)
     backend.plu_inplace(lu, piv)
     r = min(m, n)
-    U = np.triu(lu[:r, :])
+    U = np.triu(lu[:r, :]) if upper else None
     # L is unpacked over the work array, after U is copied out
     for j in range(1, r):
         lu[:j, j] = 0.0

@@ -26,11 +26,15 @@ from . import core, kernels
 from .accessors import as_accessor
 
 
-def _lu_basis(x):
-    """Row-unpermuted L of lu(x): spans what x spans, and more when x has
-    dependent columns.  Written C-ordered, since it feeds the next product
-    (a sparse product copies any other layout to C order first)."""
-    f = kernels.plu(x)
+def _lu_basis(y):
+    """Row-unpermuted L of lu(y): spans what y spans, and more when y has
+    dependent columns.
+
+    y is a product the chain owns and reads no more: it is factored in its
+    own buffer when F-ordered and writeable (kernels._plu_in_place, which
+    forms no U here), else copied once.  L is scattered into a fresh
+    C-ordered basis, the layout the next sparse product reads."""
+    f = kernels._plu_in_place(y, upper=False)
     out = np.empty(f.L.shape)
     out[f.p] = f.L
     return out
@@ -56,8 +60,9 @@ def _power_chain(a, l, products, seed, transpose_first=False, reorth=True, keep=
     whose X is an LU basis (the second on), and after the last.  The next
     renormalization and product then run on the narrower block (pivoted LU
     keeps column prefixes), so a cut chain still spends exactly `products`
-    products.  Returns the last product: l wide, or as wide as keep left
-    it.
+    products.  The chain owns its products (see rlra.accessors): keep reads
+    each one before _lu_basis factors it, in its own buffer where it can.
+    Returns the last product: l wide, or as wide as keep left it.
     """
     a = as_accessor(a)
     check_width(a, l)
@@ -94,7 +99,7 @@ def power_basis_lu_l(a, l, p, seed, _reorth=True):
     """
     if p < 0:
         raise ValueError("p must be >= 0")
-    return kernels.plu(_power_chain(a, l, 2 * p + 1, seed, reorth=_reorth))
+    return kernels._plu_in_place(_power_chain(a, l, 2 * p + 1, seed, reorth=_reorth))
 
 
 def general_power_basis_v(a, l, v, seed):

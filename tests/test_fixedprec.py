@@ -302,12 +302,13 @@ def chain_products(a, l, v, seed, target=None):
     side): side "row" for Y = A X, "col" for Y = A^T X, the side of
     prefix_residuals that gives Y's residual.  With a target, each is then
     cut by certified_width, as adaptive_rank cuts it; the last Y is the
-    returned Z."""
+    returned Z.  Y and X are stored as copies: the chain factors each
+    product in its own buffer once keep has read it."""
     seen = []
     total = as_accessor(a).fro_norm() ** 2
 
     def keep(y, x):
-        seen.append((y, x))
+        seen.append((y.copy(), x.copy()))
         return y.shape[1] if target is None else fixedprec.certified_width(y, x, total, target)
 
     z = rangefinder.row_chain(a, l, v, seed, keep=keep)
@@ -427,22 +428,24 @@ def test_adaptive_rank_is_the_narrowed_scan(eps):
 
 
 class WidthSpy(InstrumentedAccessor):
-    """Counts products and records the width, input and output of each."""
+    """Counts products and records the width, and copies of the input and
+    output, of each: the chain factors its products in their own buffers."""
 
     def __init__(self, inner):
         super().__init__(inner)
         self.widths = []
         self.products = []
 
-    def matmul(self, x):
+    def _record(self, x, y):
         self.widths.append(x.shape[1])
-        self.products.append((x, super().matmul(x)))
-        return self.products[-1][1]
+        self.products.append((x.copy(), y.copy()))
+        return y
+
+    def matmul(self, x):
+        return self._record(x, super().matmul(x))
 
     def rmatmul(self, x):
-        self.widths.append(x.shape[1])
-        self.products.append((x, super().rmatmul(x)))
-        return self.products[-1][1]
+        return self._record(x, super().rmatmul(x))
 
 
 @pytest.mark.parametrize("v", [2, 3, 4, 5, 6])

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from rlra import core, fixedprec, fixedrank, matgen, rangefinder, singlepass
-from rlra.accessors import DenseAccessor, InstrumentedAccessor
+from rlra import accessors, core, fixedprec, fixedrank, matgen, rangefinder, singlepass
+from rlra.accessors import DenseAccessor, InstrumentedAccessor, SparseAccessor
 from rlra.errors import NonFiniteInput
 from projection_identities import duplicated_rows, range_agreement
 
@@ -74,6 +76,23 @@ def test_reconstruct_places_entries_by_permutation():
     f = fixedrank.powerlu(a, 6, q_os=3, v=3, seed=2)
     r = fixedrank.reconstruct(f)
     assert np.array_equal(r[np.ix_(f.p, f.q)], f.L @ f.U)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_assemblies_leave_their_inputs_unchanged(order):
+    # the public assemblies copy what they factor; only the arrays they
+    # make themselves are factored in their own buffers
+    rng = np.random.default_rng(4)
+    a = core.gaussian_from(rng, 30, 25)
+    vk = np.asarray(np.linalg.qr(core.gaussian_from(rng, 25, 6))[0], order=order)
+    g = np.asarray(a @ vk, order=order)
+    t = np.asarray(core.gaussian_from(rng, 25, 6), order=order)
+    l1 = np.asarray(np.tril(core.gaussian_from(rng, 30, 6)), order=order)
+    inputs = (vk, g, t, l1)
+    before = [x.copy() for x in inputs]
+    fixedrank.lu_from_projection(g, vk)
+    fixedrank.column_pivot_assembly(l1, np.arange(30), t)
+    assert all(np.array_equal(x, c) and x.flags[order + "_CONTIGUOUS"] for x, c in zip(inputs, before))
 
 
 def test_lu_from_projection_matches_projected_matrix():
@@ -298,3 +317,91 @@ def test_single_pass_draws_gaussian(draws):
     a, _ = matgen.gen_decay("slow", 40, 30, seed=1)
     singlepass.single_pass_lu(singlepass.DenseColumnStream(a), 5, 2, q_os=2)
     assert draws == {"gaussian": [(2, 40, 7)], "rademacher": []}
+
+
+class KeepingAccessor(DenseAccessor):
+    """Keeps every product it hands out, beside a copy of it.  With
+    read_only it hands out read-only views, as the accessor contract asks
+    of an accessor that keeps its products; without, the products
+    themselves, which the drivers may overwrite."""
+
+    def __init__(self, a, read_only=True):
+        super().__init__(a)
+        self.read_only = read_only
+        self.kept = []
+
+    def _keep(self, y):
+        self.kept.append((y, y.copy()))
+        if not self.read_only:
+            return y
+        view = y.view()
+        view.flags.writeable = False
+        return view
+
+    def matmul(self, x):
+        return self._keep(super().matmul(x))
+
+    def rmatmul(self, x):
+        return self._keep(super().rmatmul(x))
+
+
+def result_arrays(result):
+    """Every field of a driver result, a tuple of results included."""
+    if dataclasses.is_dataclass(result):
+        return [np.asarray(getattr(result, f.name)) for f in dataclasses.fields(result)]
+    if hasattr(result, "_fields"):
+        return [np.asarray(x) for x in result]
+    return [x for part in result for x in result_arrays(part)]
+
+
+KEEPING_CALLS = (
+    [pytest.param(lambda a, v=v: fixedrank.powerlu(a, 6, v=v, seed=1), id=f"powerlu-v{v}")
+     for v in (2, 3, 4, 5, 6)]
+    + [pytest.param(lambda a, fn=fn, p=p: fn(a, 6, 3, p=p, seed=1), id=f"{fn.__name__}-p{p}")
+       for fn in (fixedrank.randlu, fixedrank.randlu_noreorth, fixedrank.randsvd) for p in (0, 1, 2)]
+    + [pytest.param(lambda a, v=v: fixedprec.adaptive_rank(a, fixedprec.PrecisionParams(1e-2, 2, 20, v), 1),
+                    id=f"adaptive_rank-v{v}") for v in (2, 3, 4, 5, 6)]
+    + [pytest.param(lambda a: fixedprec.powerlu_fp(a, fixedprec.PrecisionParams(1e-2, 2, 20, 4), 1),
+                    id="powerlu_fp")]
+)
+
+
+@pytest.mark.parametrize("call", KEEPING_CALLS)
+def test_read_only_products_are_read_not_written(call):
+    # an accessor that keeps its products gets them back untouched, and the
+    # factors are bitwise those from products the drivers may overwrite
+    a, _ = matgen.gen_decay("slow", 60, 50, seed=1)
+    acc = KeepingAccessor(a)
+    got = call(acc)
+    assert acc.kept and all(np.array_equal(y, c) for y, c in acc.kept)
+    want = call(DenseAccessor(a))
+    assert all(np.array_equal(x, w) for x, w in zip(result_arrays(got), result_arrays(want), strict=True))
+
+
+@pytest.mark.parametrize("operand", ["dense", "sparse-bands"])
+def test_powerlu_fp_leaves_the_outcomes_g(monkeypatch, operand):
+    # powerlu_fp hands G to lu_from_projection, which copies it: the
+    # outcome's G is still A @ V, bitwise adaptive_rank's
+    monkeypatch.setattr(accessors, "BAND_ROWS", 16)
+    a, _ = matgen.gen_decay("fast", 150, 100, seed=2)
+    if operand == "dense":
+        acc = DenseAccessor(a)
+    else:
+        a[np.abs(a) < 0.5 * np.abs(a).mean()] = 0.0
+        acc = SparseAccessor(sp.csc_matrix(a))
+    params = fixedprec.PrecisionParams(1e-2, 2, 100, 4)
+    _, out = fixedprec.powerlu_fp(acc, params, seed=3)
+    assert out.G.base is not None  # a view of the last product
+    assert np.array_equal(out.G, fixedprec.adaptive_rank(acc, params, seed=3).G)
+    assert np.allclose(out.G, a @ out.V, rtol=0, atol=1e-13 * core.fro_norm(a))
+
+
+@pytest.mark.parametrize("v", [2, 3, 4, 5])
+def test_products_are_factored_in_their_own_buffers(v):
+    # powerlu's chain renormalizes each product but its last, which QR
+    # reads, by LU in the product's own F-ordered buffer, and factors
+    # G = A V in its own buffer too
+    acc = KeepingAccessor(matgen.gen_decay("slow", 40, 30, seed=v)[0], read_only=False)
+    fixedrank.powerlu(acc, 8, 0, v=v, seed=2)
+    written = [not np.array_equal(y, c) for y, c in acc.kept]
+    assert written == [True] * (v - 2) + [False, True]

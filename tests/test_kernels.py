@@ -63,6 +63,55 @@ def test_plu_copies_its_input_once():
     assert peak < 1.5 * a.nbytes
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_plu_leaves_its_input_unchanged(order):
+    a = np.asarray(core.gaussian(2, 30, 8), order=order)
+    before = a.copy()
+    kernels.plu(a)
+    assert np.array_equal(a, before)
+
+
+def _read_only(a):
+    a = np.asfortranarray(a)
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("make,in_place", [
+    pytest.param(np.asfortranarray, True, id="F"),
+    pytest.param(lambda a: np.asfortranarray(np.c_[a, a])[:, :6], True, id="F-column-prefix"),
+    pytest.param(np.ascontiguousarray, False, id="C"),
+    pytest.param(_read_only, False, id="read-only"),
+    pytest.param(lambda a: np.asfortranarray(a, dtype=np.float32), False, id="float32"),
+])
+def test_plu_in_place_factors_only_a_writeable_f_ordered_buffer(make, in_place):
+    # the library's own products are factored in their own buffers; any
+    # other input is copied once and left as it is.  The factors are plu's
+    # either way, and upper=False only drops U
+    def fresh():
+        return make(core.gaussian(3, 50, 6))
+
+    want = kernels.plu(fresh())
+    y = fresh()
+    f = kernels._plu_in_place(y)
+    assert all(np.array_equal(got, w) for got, w in zip(f, want))
+    assert np.shares_memory(f.L, y) == in_place
+    assert np.array_equal(y, fresh()) != in_place
+    g = kernels._plu_in_place(fresh(), upper=False)
+    assert g.U is None and np.array_equal(g.L, want.L) and np.array_equal(g.p, want.p)
+
+
+def test_plu_in_place_allocates_no_copy():
+    a = np.asfortranarray(core.gaussian(1, 4000, 40))
+    tracemalloc.start()
+    try:
+        kernels._plu_in_place(a, upper=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * a.nbytes
+
+
 def test_plu_permutation_valid():
     f = kernels.plu(core.gaussian(2, 15, 6))
     core.check_perm(f.p, 15)

@@ -141,6 +141,39 @@ def test_one_ulp_moves_every_stored_entry(parity):
     assert sparse.data[0] == 1.0  # the input is not touched
 
 
+def test_ulp_moves_go_both_ways(parity):
+    # down is up mirrored; a random-sign move takes every entry one ulp up
+    # or down, some of each, and its seed picks the signs
+    a = np.linspace(-3.0, 5.0, 400).reshape(20, 20)
+    assert np.array_equal(parity.one_ulp(a, "down"), np.nextafter(a, -np.inf))
+    moves = {}
+    for move in ("signs1", "signs2"):
+        moved = parity.one_ulp(a, move)
+        up = moved == np.nextafter(a, np.inf)
+        assert np.all(up | (moved == np.nextafter(a, -np.inf)))
+        assert 0 < up.sum() < a.size
+        moves[move] = up
+    assert not np.array_equal(moves["signs1"], moves["signs2"])
+    sparse = sp.csc_matrix(a)
+    moved = parity.one_ulp(sparse, "signs1")
+    assert np.array_equal(moved.data, parity.one_ulp(sparse.data, "signs1"))
+    assert set(parity.ULP_MOVES) == {"up", "down", "signs1", "signs2"}
+
+
+def test_floor_is_the_worst_over_several_dumps(parity, tmp_path, capsys):
+    # two floor dumps move the probe by 1e-13 and 3e-13; the change's 2e-13
+    # reads against the larger, in the driver rows and in its cell
+    key = "powerlu_fp|slow/m0|eps=0.001|s0|probe"
+    probe = np.arange(8.0).reshape(4, 2) + 1.0
+    before = dump(tmp_path / "a.npz", {key: probe})
+    after = dump(tmp_path / "b.npz", {key: probe * (1 + 2e-13)})
+    floors = [dump(tmp_path / f"f{i}.npz", {key: probe * (1 + e)}) for i, e in enumerate((1e-13, 3e-13))]
+    assert parity.main(["compare", before, after, "--floor", *floors]) == 1
+    by_driver, _, _, cells, _ = rows(capsys.readouterr().out)
+    assert float(by_driver["powerlu_fp"][5]) == pytest.approx(3e-13, rel=1e-2)
+    assert float(cells["powerlu_fp/slow"][6]) == pytest.approx(2 / 3, rel=1e-2)
+
+
 def test_powerlu_fp_runs_at_v6_on_the_small_matrices(parity, tmp_path, monkeypatch):
     # the small cases add a powerlu_fp_v6 driver row, at the case's l and b
     # and at every tolerance; the benchmark shapes do not

@@ -159,9 +159,10 @@ def test_mean_error_improves_with_pass_budget():
 def _lu_l(x):
     # the interior renormalization is the row-unpermuted L of plu; the
     # chain goes on with the library's array, whose layout sets the next
-    # product's rounding
+    # product's rounding.  _lu_basis may factor its input in place, so it
+    # gets a copy
     f = kernels.plu(x)
-    basis = rangefinder._lu_basis(x)
+    basis = rangefinder._lu_basis(x.copy())
     assert np.array_equal(basis, core.apply_inv_row_perm(f.p, f.L))
     return basis
 
@@ -271,5 +272,7 @@ def test_renormalizations_are_column_prefix_maps(kind, k):
     def rel(x, y):
         return core.fro_norm(x - y) / core.fro_norm(y)
 
-    assert rel(rangefinder._lu_basis(y)[:, :k], rangefinder._lu_basis(y[:, :k])) <= 1e-13
+    # _lu_basis may factor its input in place: each call gets a copy
+    assert rel(rangefinder._lu_basis(y.copy())[:, :k], rangefinder._lu_basis(y[:, :k].copy())) <= 1e-13
     assert rel(kernels.eqr(y).Q[:, :k], kernels.eqr(y[:, :k]).Q) <= 1e-13
+

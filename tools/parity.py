@@ -1,7 +1,7 @@
 """Dump every rlra driver's factors over a fixed grid, and compare two dumps.
 
-    python3 tools/parity.py dump SRC OUT.npz [--ulp]
-    python3 tools/parity.py compare BEFORE.npz AFTER.npz [--floor FLOOR.npz]
+    python3 tools/parity.py dump SRC OUT.npz [--ulp [up|down|signs1|signs2]]
+    python3 tools/parity.py compare BEFORE.npz AFTER.npz [--floor FLOOR.npz ...]
 
 `dump` imports rlra from the source directory SRC (the `src` of a checkout)
 and runs powerlu v=2..5, randlu / randsvd / randlu_noreorth p=0..2,
@@ -19,8 +19,10 @@ that agree to rounding.
 BLAS is pinned to one thread, so a dump is reproducible.  The benchmark
 shapes take about a minute and 1 GB.
 
-`dump --ulp` runs the same grid with every entry of each A moved one ulp
-toward +inf (the stored nonzeros of a sparse A), which gives the noise
+`dump --ulp [MOVE]` runs the same grid with every entry of each A (the
+stored nonzeros of a sparse A) moved one ulp: toward +inf (`up`, the
+default), toward -inf (`down`), or each toward +inf or -inf by a random
+sign (`signs1`, `signs2`: the seed is the digit).  It gives the noise
 floor: how far a driver's output moves under a perturbation of A far below
 any change of method.
 
@@ -33,7 +35,10 @@ differ in method (Householder against CholeskyQR2) differ by about sqrt(2)
 plain and by rounding up to signs.  With `--floor`, a dump of BEFORE's
 source made with `--ulp`, each row also prints the worst difference up to
 column signs between BEFORE and the floor, so that a difference can be read
-against rounding.  A floor row is the worst over every matrix (or driver),
+against rounding.  `--floor` takes several such dumps, one per MOVE, and
+each floor is then the worst over them: one perturbation is a single
+sample of rounding noise, and a change of rounding order alone can read
+above it.  A floor row is the worst over every matrix (or driver),
 so `--floor` adds two tables per (driver, matrix) cell, all arrays and LU
 probes, with the cell's worst difference up to column signs, its own
 floor, and their ratio: a change on a well-conditioned matrix is read
@@ -59,6 +64,7 @@ import scipy.sparse as sp  # noqa: E402
 EPS_GRID = (0.999, 0.1, 1e-2, 1e-3, 1e-6)
 DRAW_SEEDS = (0, 1)
 PROBE_SEED, PROBE_COLUMNS = 12345, 4
+ULP_MOVES = ("up", "down", "signs1", "signs2")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -149,16 +155,23 @@ def driver_runs(case, a, workdir):
     return runs
 
 
-def one_ulp(a):
-    """A with every stored entry moved one ulp toward +inf."""
+def one_ulp(a, move="up"):
+    """A with every stored entry moved one ulp: toward +inf ("up"), toward
+    -inf ("down"), or each toward either by a random sign ("signs<seed>")."""
+    values = a.data if sp.issparse(a) else a
+    if move.startswith("signs"):
+        signs = np.random.default_rng(int(move[5:])).integers(0, 2, values.shape)
+        toward = np.where(signs, np.inf, -np.inf)
+    else:
+        toward = {"up": np.inf, "down": -np.inf}[move]
     if not sp.issparse(a):
-        return np.nextafter(a, np.inf)
+        return np.nextafter(a, toward)
     a = a.copy()
-    a.data = np.nextafter(a.data, np.inf)
+    a.data = np.nextafter(a.data, toward)
     return a
 
 
-def dump(src, out, ulp=False):
+def dump(src, out, ulp=None):
     sys.path.insert(0, str(Path(src).resolve()))
     from rlra import matgen
 
@@ -171,7 +184,7 @@ def dump(src, out, ulp=False):
                 else:
                     a, _ = matgen.gen_decay(case.kind, case.m, case.n, mseed)
                 if ulp:
-                    a = one_ulp(a)
+                    a = one_ulp(a, ulp)
                 matrix = f"{case.name}/m{mseed}"
                 z = np.random.default_rng(PROBE_SEED).standard_normal((case.n, PROBE_COLUMNS))
                 for driver, params, call in driver_runs(case, a, workdir):
@@ -258,10 +271,12 @@ def load(path):
         return dict(f)
 
 
-def compare(before, after, floor=None):
+def compare(before, after, floor=()):
+    """floor: paths of --ulp dumps of BEFORE's source; each printed floor is
+    the worst over them."""
     x = load(before)
     groups = grouped_differences(x, load(after))
-    floors = grouped_differences(x, load(floor)) if floor else None
+    floors = [grouped_differences(x, load(f)) for f in floor]
     any_diff = False
     for by, table in groups.items():
         cells = by in CELL_TABLES
@@ -276,7 +291,7 @@ def compare(before, after, floor=None):
             differing = [d for d in plain if d is not None]
             other = sum(np.isnan(d) for d in differing)
             note = f"  ({other} not comparable: permutation, rank, error text or missing)" if other else ""
-            floor_value = worst_value(d for _, d in floors[by].get(name, ())) if floors else None
+            floor_value = worst_value(d for f in floors for _, d in f[by].get(name, ()))
             floor_cell = f" {shown(floor_value):>14}" if floors else ""
             ratio_cell = f" {ratio(worst_value(signed), floor_value):>8}" if cells else ""
             print(f"{name:<{width}}{len(plain):>7} {len(differing):>7} {worst(plain):>15} "
@@ -292,11 +307,13 @@ def main(argv=None):
     d = sub.add_parser("dump", help="run the grid and write every output array")
     d.add_argument("src", help="directory holding the rlra package, e.g. ./src")
     d.add_argument("out", help="output .npz file")
-    d.add_argument("--ulp", action="store_true", help="move every entry of each A one ulp first")
+    d.add_argument("--ulp", nargs="?", const="up", choices=ULP_MOVES,
+                   help="move every entry of each A one ulp first (default: up)")
     c = sub.add_parser("compare", help="count differing arrays between two dumps")
     c.add_argument("before")
     c.add_argument("after")
-    c.add_argument("--floor", help="a --ulp dump of BEFORE's source, printed beside the difference")
+    c.add_argument("--floor", nargs="+", default=(),
+                   help="--ulp dumps of BEFORE's source; the worst over them is printed beside the difference")
     args = ap.parse_args(argv)
     if args.command == "dump":
         return dump(args.src, args.out, args.ulp)
