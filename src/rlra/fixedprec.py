@@ -136,12 +136,11 @@ def certified_width(y, x, total, target):
     w = y.shape[1]
     if not target > 0:
         return w
-    # an overflowing Gram is a failed Cholesky, as in kernels.eqr
-    with np.errstate(over="ignore", invalid="ignore"):
-        factor = kernels._chol_inv(x.T @ x)
+    factor = kernels._gram_chol(x)
     if factor is None:
         return w
-    return refine_rank(y @ factor[1], total, target)[0]
+    # Y R^{-1} formed F-ordered, the layout refine_rank reads without a copy
+    return refine_rank((factor[1].T @ y.T).T, total, target)[0]
 
 
 def refine_rank(g, total, acc):
@@ -149,8 +148,10 @@ def refine_rank(g, total, acc):
     until the running energy reaches acc.
 
     Returns (rank, energy): rank counts the columns consumed, all of them
-    when the energy stays above acc.
+    when the energy stays above acc.  Each column's energy is summed in one
+    order whatever g's layout: a g that is not F-ordered is copied once.
     """
+    g = np.asfortranarray(g)
     energies = np.einsum("ij,ij->j", g, g)
     running = np.subtract.accumulate(np.concatenate(([total], energies)))[1:]
     hits = np.flatnonzero(running <= acc)

@@ -7,14 +7,17 @@ exactly v products for the pass-parameterized LU driver.  Every sketch
 starts from a random-sign test matrix (core.rademacher), not the paper's
 Gaussian one.  The LU drivers sketch at width k, since their factors use
 only the first k sketch columns; the oversampling q_os widens randsvd's
-sketch alone.
+sketch alone.  They solve against the chain's own unit-lower LU basis X,
+whose Gram C = X^T X is well conditioned, through C^{-1} from one Cholesky
+(kernels._gram_inverse): no QR and no pseudoinverse unless that basis is
+too ill-conditioned for the Gram.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import core, kernels, rangefinder
+from . import kernels, rangefinder
 from .accessors import as_accessor
 from .kernels import LowRankSVD
 
@@ -81,9 +84,10 @@ def randsvd(a, k, q_os=10, p=1, seed=0, truncate=False):
 def randlu(a, k, q_os=10, p=1, seed=0):
     """Randomized LU: LU-stabilized sketch of width k, pivoted assembly.
 
-    The sketch's L factor L_y is m x k; B = L_y^+ P A is formed through the
-    accessor (one transpose product); the column-pivoted step is a
-    partial-pivot LU of B^T.  2p + 2 passes total, every product k wide.
+    The sketch's L factor L_y is m x k; B = L_y^+ P A = C^{-1} X^T A, with
+    X = P^T L_y and C = X^T X (kernels._gram_inverse), is formed through
+    the accessor (one transpose product A^T X); the column-pivoted step is
+    a partial-pivot LU of B^T.  2p + 2 passes total, every product k wide.
 
     q_os is validated, and k + q_os checked against A's shape, but it
     changes neither the factors nor the cost: the test matrix's first k
@@ -116,32 +120,37 @@ def randlu_noreorth(a, k, q_os=10, p=1, seed=0):
 
 
 def _assemble_from_sketch_lu(a, sk):
-    qy, _, rp = kernels.pinv_factor(sk.L)
-    # B = L_y^+ P A = R^+ (P^T Q)^T A; B^T = C (R^+)^T from one transpose
-    # product C = A^T (P^T Q)
-    c = a.rmatmul(core.apply_inv_row_perm(sk.p, qy))
-    return column_pivot_assembly(sk.L, sk.p, c @ rp.T)
+    # X = P^T L_y, C-ordered, the layout a sparse product reads; L_y^+ P A
+    # = C^{-1} X^T A, so B^T = (A^T X) C^{-1}
+    x = np.empty(sk.L.shape)
+    x[sk.p] = sk.L
+    return _assemble_product(sk.L, sk.p, kernels._gram_inverse(x), a.rmatmul(x))
 
 
 def powerlu(a, k, q_os=10, v=3, seed=0):
     """Pass-parameterized randomized LU.
 
-    Builds a k-wide row-space basis V with v - 1 products, spends the last
-    pass on Y = A V, and assembles the factorization from two small pivoted
-    LUs.  Works for any pass budget v >= 2.
+    Runs rangefinder's chain through all v products: the last is G = A X,
+    with X the k-wide row-space LU basis of the product before it.  A
+    projected onto span X is G C^{-1} X^T, C = X^T X
+    (kernels._gram_inverse), and its factorization is assembled from two
+    small pivoted LUs.  Works for any pass budget v >= 2.
 
     q_os is validated, and k + q_os checked against A's shape, but it
     changes neither the factors nor the cost: the test matrix's first k
-    columns do not depend on its width (core.rademacher) and the interior
-    LUs and the final QR are column prefix maps,
-    so the first k columns of a wider basis equal this basis up to
-    rounding, and oversampling columns would never reach the factors.
+    columns do not depend on its width (core.rademacher) and the LUs are
+    column prefix maps, so the first k columns of a wider basis equal this
+    basis, and oversampling columns would never reach the factors.
     """
     a = as_accessor(a)
     _validate_rank(a, k, q_os)
-    vk = rangefinder.general_power_basis_v(a, k, v, seed)
-    # G = A V is this call's own: it is factored in its own buffer
-    return _assemble_from_projection(kernels._plu_in_place(a.matmul(vk)), vk)
+    if v < 2:
+        raise ValueError("pass budget v must be >= 2")
+    g, x = rangefinder._power_chain(a, k, v, seed, transpose_first=v % 2 == 0)
+    # G is this call's own: it is factored in its own buffer
+    l1, u1, perm = kernels._plu_in_place(g)
+    # A[perm, :] P_X = L1 U1 C^{-1} X^T
+    return _assemble_product(l1, perm, u1 @ kernels._gram_inverse(x), x)
 
 
 def lu_from_projection(g, vk):
@@ -151,14 +160,14 @@ def lu_from_projection(g, vk):
     The only approximation in the caller is A ~ A V V^T; these steps are
     exact.  g and vk are left unchanged.
     """
-    return _assemble_from_projection(kernels.plu(g), vk)
+    l1, u1, perm = kernels.plu(g)
+    return _assemble_product(l1, perm, u1, vk)
 
 
-def _assemble_from_projection(f, vk):
-    """lu_from_projection from f = lu(G).  T = (U1 V^T)^T is made here,
-    F-ordered, so it is factored in its own buffer."""
-    l1, u1, perm = f
-    return _assemble(l1, perm, kernels._plu_in_place((u1 @ vk.T).T))
+def _assemble_product(l1, p, w, basis):
+    """column_pivot_assembly of A[p, :] ~ L1 (W basis^T): T = (W basis^T)^T
+    is made here, F-ordered, so it is factored in its own buffer."""
+    return _assemble(l1, p, kernels._plu_in_place((w @ basis.T).T))
 
 
 def column_pivot_assembly(l1, p, t):

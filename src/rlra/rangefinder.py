@@ -6,10 +6,12 @@ the row-unpermuted L of a pivoted LU between consecutive products, as in
 the paper's reorthogonalization (and fbpca's randomized SVD, Li et al.,
 ACM TOMS 2017).  The public finders differ only in the factorization of
 the last raw product: QR for power_basis_q (randsvd) and
-general_power_basis_v (powerlu), pivoted LU for power_basis_lu_l (randlu;
-with no renormalization, randlu_noreorth).  powerlu_fp takes
+general_power_basis_v, pivoted LU for power_basis_lu_l (randlu; with no
+renormalization, randlu_noreorth).  powerlu_fp takes
 general_power_basis_v's chain bare (row_chain), with a cut (keep) that
-narrows its products, and factors the last product itself.
+narrows its products, and factors the last product itself.  powerlu runs
+the chain through all v products and keeps the LU basis X that the last
+one, G = A X, multiplied: it projects onto span X with no QR.
 
 Interior LU renormalizations preserve the span exactly when the sketch has
 full column rank.  The width l is checked against A's shape only
@@ -62,7 +64,10 @@ def _power_chain(a, l, products, seed, transpose_first=False, reorth=True, keep=
     keeps column prefixes), so a cut chain still spends exactly `products`
     products.  The chain owns its products (see rlra.accessors): keep reads
     each one before _lu_basis factors it, in its own buffer where it can.
-    Returns the last product: l wide, or as wide as keep left it.
+    Returns (Y, X): the last product, l wide or as wide as keep left it,
+    and the block X that it multiplied: the start when `products` is 1, else
+    the LU basis of the product before it, or that product itself when
+    reorth is off.
     """
     a = as_accessor(a)
     check_width(a, l)
@@ -74,7 +79,7 @@ def _power_chain(a, l, products, seed, transpose_first=False, reorth=True, keep=
         y = steps[i % 2](x)
         if keep is not None and (i or i == products - 1):
             y = y[:, : keep(y, x)]
-    return y
+    return y, x
 
 
 def power_basis_q(a, l, p, seed):
@@ -85,7 +90,7 @@ def power_basis_q(a, l, p, seed):
     """
     if p < 0:
         raise ValueError("p must be >= 0")
-    return kernels.eqr(_power_chain(a, l, 2 * p + 1, seed)).Q
+    return kernels.eqr(_power_chain(a, l, 2 * p + 1, seed)[0]).Q
 
 
 def power_basis_lu_l(a, l, p, seed, _reorth=True):
@@ -99,7 +104,7 @@ def power_basis_lu_l(a, l, p, seed, _reorth=True):
     """
     if p < 0:
         raise ValueError("p must be >= 0")
-    return kernels._plu_in_place(_power_chain(a, l, 2 * p + 1, seed, reorth=_reorth))
+    return kernels._plu_in_place(_power_chain(a, l, 2 * p + 1, seed, reorth=_reorth)[0])
 
 
 def general_power_basis_v(a, l, v, seed):
@@ -108,7 +113,9 @@ def general_power_basis_v(a, l, v, seed):
     Odd v: basis of (A^T A)^{(v-1)/2} Omega with Omega n x l.  Even v: basis
     of (A^T A)^{floor((v-1)/2)} A^T Omega with Omega m x l.  Returns V,
     n x l with orthonormal columns.  Consumes exactly v - 1 passes; the
-    caller's A @ V spends the final one.
+    caller's A @ V spends the final one.  No driver calls it (powerlu
+    projects onto the chain's own LU basis); acceptance criterion 01
+    measures it, and perfbench's tracer wraps it by name.
     """
     if v < 2:
         raise ValueError("pass budget v must be >= 2")
@@ -119,4 +126,4 @@ def row_chain(a, l, v, seed, keep=None):
     """The v - 1 products behind general_power_basis_v: returns the last
     one, Z = A^T X (X the random-sign start at v = 2, else the chain's last
     LU basis), n x l, or with keep (see _power_chain) n x w for w <= l."""
-    return _power_chain(a, l, v - 1, seed, transpose_first=v % 2 == 0, keep=keep)
+    return _power_chain(a, l, v - 1, seed, transpose_first=v % 2 == 0, keep=keep)[0]

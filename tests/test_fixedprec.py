@@ -83,6 +83,18 @@ def test_refine_rank_offset_block():
     assert rank == 6 and e == pytest.approx(1.0, abs=1e-13)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_refine_rank_reads_any_layout_alike(seed):
+    # the energies are summed in one order whatever G's layout, so C- and
+    # F-ordered copies of one G (and a column slice of a C-ordered one) give
+    # the same bits
+    g = core.gaussian(seed, 3000, 41)
+    total = 1.01 * float((g * g).sum())
+    want = fixedprec.refine_rank(np.asfortranarray(g[:, :40]), total, 0.0)
+    assert fixedprec.refine_rank(np.ascontiguousarray(g[:, :40]), total, 0.0) == want
+    assert fixedprec.refine_rank(np.ascontiguousarray(g)[:, :40], total, 0.0) == want
+
+
 def test_block_size_does_not_shape_the_search():
     a, _ = matgen.gen_decay("fast", 150, 120, seed=10)
     eps, l, v = 1e-3, 60, 4

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from rlra import accessors, core, fixedprec, fixedrank, matgen, rangefinder, singlepass
+from rlra import accessors, core, fixedprec, fixedrank, kernels, matgen, rangefinder, singlepass
 from rlra.accessors import DenseAccessor, InstrumentedAccessor, SparseAccessor
 from rlra.errors import NonFiniteInput
 from projection_identities import duplicated_rows, range_agreement
@@ -246,18 +246,22 @@ def test_non_finite_input_raises(driver, bad):
 
 
 class WidthRecorder(InstrumentedAccessor):
-    """Counts products and records the width of each one."""
+    """Counts products and records the width of each one, and the last
+    one's input."""
 
     def __init__(self, inner):
         super().__init__(inner)
         self.widths = []
+        self.last = None
 
     def matmul(self, x):
         self.widths.append(x.shape[1])
+        self.last = x.copy()
         return super().matmul(x)
 
     def rmatmul(self, x):
         self.widths.append(x.shape[1])
+        self.last = x.copy()
         return super().rmatmul(x)
 
 
@@ -283,6 +287,59 @@ def test_lu_drivers_sketch_only_k_columns(call, passes):
         assert acc.widths == [k] * passes
     for name in ("p", "q", "L", "U"):
         assert np.array_equal(getattr(got[10], name), getattr(got[0], name))
+
+
+@pytest.fixture
+def qr_calls(monkeypatch):
+    """How often kernels.eqr and kernels.pinv_factor are called."""
+    counts = {"eqr": 0, "pinv_factor": 0}
+    for name in counts:
+        fn = getattr(kernels, name)
+
+        def spy(*args, fn=fn, name=name):
+            counts[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(kernels, name, spy)
+    return counts
+
+
+@pytest.mark.parametrize("call,qr", [
+    pytest.param(lambda a, v=v: fixedrank.powerlu(a, 8, v=v, seed=1), 0, id=f"powerlu-v{v}")
+    for v in (2, 3, 4, 5)
+] + [
+    pytest.param(lambda a, fn=fn, p=p: fn(a, 8, p=p, seed=1), 0, id=f"{fn.__name__}-p{p}")
+    for fn in (fixedrank.randlu, fixedrank.randlu_noreorth) for p in (0, 1, 2)
+] + [
+    pytest.param(lambda a: fixedrank.randsvd(a, 8, p=1, seed=1), 2, id="randsvd"),
+    pytest.param(lambda a: fixedprec.powerlu_fp(a, fixedprec.PrecisionParams(1e-2, 2, 20, 4), 1),
+                 1, id="powerlu_fp"),
+])
+def test_lu_drivers_take_no_qr(qr_calls, call, qr):
+    # the LU drivers solve against their own LU basis through one Gram;
+    # randsvd and powerlu_fp still need orthonormal bases
+    call(matgen.gen_decay("slow", 60, 50, seed=1)[0])
+    assert qr_calls == {"eqr": qr, "pinv_factor": 0}
+
+
+@pytest.mark.parametrize("kind", ["fast", "slow"])
+@pytest.mark.parametrize("call,rows", [
+    pytest.param(lambda a, v=v: fixedrank.powerlu(a, 12, v=v, seed=2), False, id=f"powerlu-v{v}")
+    for v in (2, 3, 4, 5)
+] + [
+    pytest.param(lambda a, p=p: fixedrank.randlu(a, 12, p=p, seed=2), True, id=f"randlu-p{p}")
+    for p in (0, 1, 2)
+])
+def test_lu_factors_are_a_projected_onto_the_basis(kind, call, rows):
+    # the factors are exactly A projected onto span X, X the basis that the
+    # last product multiplied: P_X A for randlu (its last product is
+    # A^T X), A P_X for powerlu
+    a, _ = matgen.gen_decay(kind, 90, 70, seed=4)
+    acc = WidthRecorder(a)
+    f = call(acc)
+    q = np.linalg.qr(acc.last)[0]
+    projected = q @ (q.T @ a) if rows else (a @ q) @ q.T
+    assert core.fro_norm(fixedrank.reconstruct(f) - projected) <= 1e-13 * core.fro_norm(a)
 
 
 @pytest.fixture
@@ -398,10 +455,10 @@ def test_powerlu_fp_leaves_the_outcomes_g(monkeypatch, operand):
 
 @pytest.mark.parametrize("v", [2, 3, 4, 5])
 def test_products_are_factored_in_their_own_buffers(v):
-    # powerlu's chain renormalizes each product but its last, which QR
-    # reads, by LU in the product's own F-ordered buffer, and factors
-    # G = A V in its own buffer too
+    # powerlu's chain renormalizes each product but its last by LU in the
+    # product's own F-ordered buffer, and factors G = A X in its own buffer
+    # too
     acc = KeepingAccessor(matgen.gen_decay("slow", 40, 30, seed=v)[0], read_only=False)
     fixedrank.powerlu(acc, 8, 0, v=v, seed=2)
     written = [not np.array_equal(y, c) for y, c in acc.kept]
-    assert written == [True] * (v - 2) + [False, True]
+    assert written == [True] * v

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rlra import backend, core, kernels
+from rlra import backend, core, kernels, matgen, rangefinder
 from projection_identities import tsvd
 
 
@@ -236,6 +236,52 @@ def _assert_cut_pinv(l, rank):
                          ids=["rank-3", "cond-1e13"])
 def test_pinv_factor_rejects_deficient_sketch(make, rank):
     _assert_cut_pinv(make(), rank)
+
+
+@pytest.fixture
+def pinv_calls(monkeypatch):
+    """Every kernels.pinv_factor call's input."""
+    calls = []
+    pinv_factor = kernels.pinv_factor
+    monkeypatch.setattr(kernels, "pinv_factor", lambda l: calls.append(l) or pinv_factor(l))
+    return calls
+
+
+@pytest.mark.parametrize("kind,l", [("fast", 40), ("fast", 120), ("slow", 40), ("sshaped", 80)])
+def test_gram_inverse_matches_pinv_factor_on_an_lu_basis(pinv_calls, kind, l):
+    # an LU basis stays on the Gram route, within about u kappa^2 of the
+    # R^+ R^+^T that pinv_factor gives the same basis
+    a, _ = matgen.gen_decay(kind, 400, 300, seed=3)
+    x = rangefinder._lu_basis(a @ core.rademacher(4, 300, l))
+    cinv = kernels._gram_inverse(x)
+    assert not pinv_calls
+    rp = kernels.pinv_factor(x)[2]
+    expected = rp @ rp.T
+    u = np.finfo(np.float64).eps
+    bound = 10 * u * np.linalg.cond(x) ** 2
+    assert np.linalg.norm(cinv - expected) <= bound * np.linalg.norm(expected)
+
+
+def _unit_lower_basis(t, k=60, m=200):
+    """m x k: unit lower top block with -t everywhere below its diagonal,
+    zero rows below it, rows permuted."""
+    x = np.zeros((m, k))
+    x[:k] = np.eye(k) - t * np.tril(np.ones((k, k)), -1)
+    return x[np.random.default_rng(5).permutation(m)]
+
+
+@pytest.mark.parametrize("t,scale", [(0.2, 1.0), (1.0, 1.0), (0.5, 1.0), (0.05, 1e160)],
+                         ids=["t=0.2", "t=1", "t=0.5", "gram-overflows"])
+def test_gram_inverse_falls_back_on_an_ill_conditioned_basis(pinv_calls, t, scale):
+    # dtrcon's kappa_1(R) reads about 5e5 at t = 0.2 and 5e9 at t = 1
+    # (kappa_2 about 1e18), both above GRAM_COND_LIMIT; at t = 0.5 the
+    # Cholesky fails, and an overflowing Gram leaves a non-finite R whose
+    # estimate reads 0.  Each takes pinv_factor's R^+ R^+^T
+    x = scale * _unit_lower_basis(t)
+    cinv = kernels._gram_inverse(x)
+    assert len(pinv_calls) == 1 and pinv_calls[0] is x
+    rp = kernels.pinv_factor(x)[2]
+    assert np.array_equal(cinv, rp @ rp.T)
 
 
 def test_pinv_factor_rejects_wide():
