@@ -41,7 +41,8 @@ accessor: as_accessor on a raw sparse matrix makes a new one per call.  A
 busy worker holds one band of the result (1.3 MB at width 40).  Products
 under 4 columns wide are slower in bands; at most BAND_ROWS result rows take
 one SciPy call on A.  The bands snapshot A and fro_norm is computed once,
-so A must not change once it is wrapped.
+so A must not change once it is wrapped; fro_norm sums an entry stored as
+several pieces (a CSC without canonical format) before squaring it.
 
 The bands of one product run at once on a thread pool shared by all
 accessors and made at the first product split into bands, with one worker
@@ -143,7 +144,12 @@ class SparseAccessor:
 
     def fro_norm(self):
         if self._fro is None:
-            self._fro = float(np.sqrt((self._a.data**2).sum()))
+            a = self._a
+            if not a.has_canonical_format:
+                # sum each entry's pieces first, on a copy of the caller's matrix
+                a = a.copy()
+                a.sum_duplicates()
+            self._fro = float(np.sqrt((a.data**2).sum()))
         return self._fro
 
     def to_dense(self):

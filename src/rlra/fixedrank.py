@@ -7,10 +7,12 @@ exactly v products for the pass-parameterized LU driver.  Every sketch
 starts from a random-sign test matrix (core.rademacher), not the paper's
 Gaussian one.  The LU drivers sketch at width k, since their factors use
 only the first k sketch columns; the oversampling q_os widens randsvd's
-sketch alone.  They solve against the chain's own unit-lower LU basis X,
-whose Gram C = X^T X is well conditioned, through C^{-1} from one Cholesky
-(kernels._gram_inverse): no QR and no pseudoinverse unless that basis is
-too ill-conditioned for the Gram.
+sketch alone.  The LU drivers are one body (_projected_lu), since randlu
+at exponent p projects A onto the LU basis that powerlu at v = 2p + 2
+builds for A^T (the paper's relationship).  It solves against the chain's
+own unit-lower LU basis X, whose Gram C = X^T X is well conditioned,
+through C^{-1} from one Cholesky (kernels._gram_inverse): no QR and no
+pseudoinverse unless that basis is too ill-conditioned for the Gram.
 """
 
 from dataclasses import dataclass
@@ -100,9 +102,7 @@ def randlu(a, k, q_os=10, p=1, seed=0):
     with entries at most 1 whatever the sketch's rank, and at k >= rank(A)
     the error is at rounding level.
     """
-    a = as_accessor(a)
-    _validate_rank(a, k, q_os)
-    return _assemble_from_sketch_lu(a, rangefinder.power_basis_lu_l(a, k, p, seed))
+    return _projected_lu(a, k, q_os, 2 * p + 2, seed)
 
 
 def randlu_noreorth(a, k, q_os=10, p=1, seed=0):
@@ -113,76 +113,69 @@ def randlu_noreorth(a, k, q_os=10, p=1, seed=0):
     same k-wide sketch, same q_os handling and same post-sketch assembly as
     randlu.
     """
-    a = as_accessor(a)
-    _validate_rank(a, k, q_os)
-    return _assemble_from_sketch_lu(
-        a, rangefinder.power_basis_lu_l(a, k, p, seed, _reorth=False))
-
-
-def _assemble_from_sketch_lu(a, sk):
-    # X = P^T L_y, C-ordered, the layout a sparse product reads; L_y^+ P A
-    # = C^{-1} X^T A, so B^T = (A^T X) C^{-1}
-    x = np.empty(sk.L.shape)
-    x[sk.p] = sk.L
-    return _assemble_product(sk.L, sk.p, kernels._gram_inverse(x), a.rmatmul(x))
+    return _projected_lu(a, k, q_os, 2 * p + 2, seed, reorth=False)
 
 
 def powerlu(a, k, q_os=10, v=3, seed=0):
-    """Pass-parameterized randomized LU.
+    """Pass-parameterized randomized LU: randlu's body run on A^T.
 
-    Runs rangefinder's chain through all v products: the last is G = A X,
-    with X the k-wide row-space LU basis of the product before it.  A
-    projected onto span X is G C^{-1} X^T, C = X^T X
-    (kernels._gram_inverse), and its factorization is assembled from two
-    small pivoted LUs.  Works for any pass budget v >= 2.
+    X is the k-wide row-space LU basis of the chain's (v-1)-th product and
+    G = A X the v-th; A projected onto span X is G C^{-1} X^T, factored
+    from the chain's LU of X and one LU of G C^{-1}, then transposed: v
+    pivoted LUs for v passes.  At v = 2p + 2 the factors are randlu's on
+    A^T, transposed, bitwise.  Any v >= 2; q_os is handled as in randlu.
+    """
+    return _transposed(_projected_lu(a, k, q_os, v, seed, transpose=True))
 
-    q_os is validated, and k + q_os checked against A's shape, but it
-    changes neither the factors nor the cost: the test matrix's first k
-    columns do not depend on its width (core.rademacher) and the LUs are
-    column prefix maps, so the first k columns of a wider basis equal this
-    basis, and oversampling columns would never reach the factors.
+
+def _projected_lu(a, k, q_os, v, seed, transpose=False, reorth=True):
+    """The LU drivers' one body, v passes, on B = A, or B = A^T with
+    transpose: B projected onto the k-wide LU basis X of the chain's
+    (v-1)-th product, which lands on B's column side, factored as
+    B[p, :][:, q] ~ L U.  reorth=False runs the chain raw.
     """
     a = as_accessor(a)
     _validate_rank(a, k, q_os)
     if v < 2:
-        raise ValueError("pass budget v must be >= 2")
-    g, x = rangefinder._power_chain(a, k, v, seed, transpose_first=v % 2 == 0)
-    # G is this call's own: it is factored in its own buffer
-    l1, u1, perm = kernels._plu_in_place(g)
-    # A[perm, :] P_X = L1 U1 C^{-1} X^T
-    return _assemble_product(l1, perm, u1 @ kernels._gram_inverse(x), x)
+        raise ValueError("pass budget v must be >= 2" if transpose else "p must be >= 0")
+    y = rangefinder._power_chain(
+        a, k, v - 1, seed, transpose_first=(v % 2 == 0) == transpose, reorth=reorth)
+    lx, _, perm = kernels._plu_in_place(y, upper=False)
+    # X = P^T L_x, C-ordered, the layout a sparse product reads; L_x^+ P B
+    # = C^{-1} X^T B, so B[perm, :] ~ L_x T^T with T = (B^T X) C^{-1},
+    # made F-ordered here so that it is factored in its own buffer
+    x = np.empty(lx.shape)
+    x[perm] = lx
+    c = a.matmul(x) if transpose else a.rmatmul(x)
+    return _assemble(lx, perm, kernels._plu_in_place((kernels._gram_inverse(x) @ c.T).T))
+
+
+def _transposed(f):
+    """The LU of A from the LU f of A^T: A^T[p, :][:, q] = L U gives
+    A[q, :][:, p] = U^T L^T."""
+    return LowRankLU(p=f.q, q=f.p, L=f.U.T, U=f.L.T, rank=f.rank)
 
 
 def lu_from_projection(g, vk):
     """Exact pivoted-LU factorization of G V^T given G = A V.
 
-    lu(G) -> (L1, U1, p), then the column-pivot assembly of T = (U1 V^T)^T.
-    The only approximation in the caller is A ~ A V V^T; these steps are
-    exact.  g and vk are left unchanged.
+    lu(G) -> (L1, U1, p), then the column-pivoted step on
+    T = (U1 V^T)^T, made here, F-ordered, so that it is factored in its own
+    buffer.  The only approximation in the caller is A ~ A V V^T; these
+    steps are exact.  g and vk are left unchanged.
     """
     l1, u1, perm = kernels.plu(g)
-    return _assemble_product(l1, perm, u1, vk)
-
-
-def _assemble_product(l1, p, w, basis):
-    """column_pivot_assembly of A[p, :] ~ L1 (W basis^T): T = (W basis^T)^T
-    is made here, F-ordered, so it is factored in its own buffer."""
-    return _assemble(l1, p, kernels._plu_in_place((w @ basis.T).T))
-
-
-def column_pivot_assembly(l1, p, t):
-    """Column-pivoted step shared by every LU driver.
-
-    Given the row side L1 (m x r, rows permuted by p) and T (n x r), where
-    the factorization sought is A[p, :] ~ L1 T^T: lu(T) -> (L2, U2, q),
-    L = L1 U2^T, U = L2^T.  The rank is the width r of L1.  t is left
-    unchanged.
-    """
-    return _assemble(l1, p, kernels.plu(t))  # column pivoting via the transpose
+    return _assemble(l1, perm, kernels._plu_in_place((u1 @ vk.T).T))
 
 
 def _assemble(l1, p, f):
-    """column_pivot_assembly from f = lu(T)."""
+    """Column-pivoted step shared by every LU driver.
+
+    Given the row side L1 (m x r, rows permuted by p) and f = lu(T) =
+    (L2, U2, q) for T (n x r), where the factorization sought is
+    A[p, :] ~ L1 T^T: L = L1 U2^T, U = L2^T.  The rank is the width r of
+    L1.
+    """
     l2, u2, q = f
     return LowRankLU(p=p, q=q, L=l1 @ u2.T, U=l2.T, rank=l1.shape[1])
 

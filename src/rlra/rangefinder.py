@@ -6,12 +6,11 @@ the row-unpermuted L of a pivoted LU between consecutive products, as in
 the paper's reorthogonalization (and fbpca's randomized SVD, Li et al.,
 ACM TOMS 2017).  The public finders differ only in the factorization of
 the last raw product: QR for power_basis_q (randsvd) and
-general_power_basis_v, pivoted LU for power_basis_lu_l (randlu; with no
-renormalization, randlu_noreorth).  powerlu_fp takes
+general_power_basis_v, pivoted LU for power_basis_lu_l.  powerlu_fp takes
 general_power_basis_v's chain bare (row_chain), with a cut (keep) that
-narrows its products, and factors the last product itself.  powerlu runs
-the chain through all v products and keeps the LU basis X that the last
-one, G = A X, multiplied: it projects onto span X with no QR.
+narrows its products, and factors the last product itself.  The LU
+drivers take the chain bare too, its last product on their basis's side
+(raw for randlu_noreorth), and their basis from its pivoted LU.
 
 Interior LU renormalizations preserve the span exactly when the sketch has
 full column rank.  The width l is checked against A's shape only
@@ -64,10 +63,7 @@ def _power_chain(a, l, products, seed, transpose_first=False, reorth=True, keep=
     keeps column prefixes), so a cut chain still spends exactly `products`
     products.  The chain owns its products (see rlra.accessors): keep reads
     each one before _lu_basis factors it, in its own buffer where it can.
-    Returns (Y, X): the last product, l wide or as wide as keep left it,
-    and the block X that it multiplied: the start when `products` is 1, else
-    the LU basis of the product before it, or that product itself when
-    reorth is off.
+    Returns the last product, l wide or as wide as keep left it.
     """
     a = as_accessor(a)
     check_width(a, l)
@@ -79,7 +75,7 @@ def _power_chain(a, l, products, seed, transpose_first=False, reorth=True, keep=
         y = steps[i % 2](x)
         if keep is not None and (i or i == products - 1):
             y = y[:, : keep(y, x)]
-    return y, x
+    return y
 
 
 def power_basis_q(a, l, p, seed):
@@ -90,21 +86,21 @@ def power_basis_q(a, l, p, seed):
     """
     if p < 0:
         raise ValueError("p must be >= 0")
-    return kernels.eqr(_power_chain(a, l, 2 * p + 1, seed)[0]).Q
+    return kernels.eqr(_power_chain(a, l, 2 * p + 1, seed)).Q
 
 
-def power_basis_lu_l(a, l, p, seed, _reorth=True):
-    """LU-stabilized sketch of A (A^T A)^p Omega for the LU driver.
+def power_basis_lu_l(a, l, p, seed):
+    """LU-stabilized sketch of A (A^T A)^p Omega.
 
     Returns (L, U, p_perm) from a final pivoted LU.  Interior LU
     renormalizations rescale the sketch, so P^T L U equals the raw chain
     only up to an invertible right factor; Range(P^T L) matches it exactly
-    (in exact arithmetic).  _reorth=False (randlu_noreorth only) factors
-    the raw chain instead.  Consumes exactly 2p + 1 passes.
+    (in exact arithmetic).  Consumes exactly 2p + 1 passes.  No driver
+    calls it; it stays for the tests, and perfbench's tracer wraps it.
     """
     if p < 0:
         raise ValueError("p must be >= 0")
-    return kernels._plu_in_place(_power_chain(a, l, 2 * p + 1, seed, reorth=_reorth)[0])
+    return kernels._plu_in_place(_power_chain(a, l, 2 * p + 1, seed))
 
 
 def general_power_basis_v(a, l, v, seed):
@@ -126,4 +122,4 @@ def row_chain(a, l, v, seed, keep=None):
     """The v - 1 products behind general_power_basis_v: returns the last
     one, Z = A^T X (X the random-sign start at v = 2, else the chain's last
     LU basis), n x l, or with keep (see _power_chain) n x w for w <= l."""
-    return _power_chain(a, l, v - 1, seed, transpose_first=v % 2 == 0, keep=keep)[0]
+    return _power_chain(a, l, v - 1, seed, transpose_first=v % 2 == 0, keep=keep)

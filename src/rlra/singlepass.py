@@ -219,5 +219,4 @@ def single_pass_lu_rowmajor(a, k, seed, q_os=0, panel=None):
     panel, A^T itself, with no copy.
     """
     at = DenseColumnStream(np.asarray(a).T)
-    ft = single_pass_lu(at, k, seed, q_os=q_os, panel=panel)
-    return fixedrank.LowRankLU(p=ft.q, q=ft.p, L=ft.U.T, U=ft.L.T, rank=ft.rank)
+    return fixedrank._transposed(single_pass_lu(at, k, seed, q_os=q_os, panel=panel))

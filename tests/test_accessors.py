@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from rlra import accessors, core, matgen
+from rlra import accessors, core, fixedprec, matgen
 from rlra.accessors import (
     DenseAccessor,
     InstrumentedAccessor,
@@ -461,6 +461,21 @@ def test_sparse_fro_norm_computed_once():
     assert acc.fro_norm() == want
     acc.sparse.data[:] = 0.0  # A must not change once wrapped; the norm is not read again
     assert acc.fro_norm() == want
+
+
+def test_sparse_fro_norm_sums_duplicate_entries():
+    # SciPy accepts a CSC that stores an entry as several pieces: here every
+    # entry as two halves.  The norm squares their sums, leaving the
+    # caller's pieces as they are, and the energy scan reads it
+    a = matgen.gen_sparse(300, 200, 0.05, seed=3).sparse
+    halves = sp.csc_matrix((np.repeat(a.data / 2, 2), np.repeat(a.indices, 2), 2 * a.indptr), shape=a.shape)
+    pieces = [x.copy() for x in (halves.data, halves.indices, halves.indptr)]
+    assert SparseAccessor(halves).fro_norm() == SparseAccessor(a).fro_norm()
+    assert all(np.array_equal(x, c) for x, c in zip((halves.data, halves.indices, halves.indptr), pieces))
+    params = fixedprec.PrecisionParams(eps=0.5, b=5, l=150, v=4)
+    got = fixedprec.adaptive_rank(SparseAccessor(halves), params, seed=0)
+    want = fixedprec.adaptive_rank(SparseAccessor(a), params, seed=0)
+    assert (got.rank, got.converged) == (want.rank, want.converged)
 
 
 def test_instrumented_counts_products_only():

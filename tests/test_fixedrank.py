@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from rlra import accessors, core, fixedprec, fixedrank, kernels, matgen, rangefinder, singlepass
+from rlra import accessors, backend, core, fixedprec, fixedrank, kernels, matgen, rangefinder, singlepass
 from rlra.accessors import DenseAccessor, InstrumentedAccessor, SparseAccessor
 from rlra.errors import NonFiniteInput
 from projection_identities import duplicated_rows, range_agreement
@@ -80,18 +80,15 @@ def test_reconstruct_places_entries_by_permutation():
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_assemblies_leave_their_inputs_unchanged(order):
-    # the public assemblies copy what they factor; only the arrays they
-    # make themselves are factored in their own buffers
+    # the public assembly copies what it factors; only the arrays it makes
+    # itself are factored in their own buffers
     rng = np.random.default_rng(4)
     a = core.gaussian_from(rng, 30, 25)
     vk = np.asarray(np.linalg.qr(core.gaussian_from(rng, 25, 6))[0], order=order)
     g = np.asarray(a @ vk, order=order)
-    t = np.asarray(core.gaussian_from(rng, 25, 6), order=order)
-    l1 = np.asarray(np.tril(core.gaussian_from(rng, 30, 6)), order=order)
-    inputs = (vk, g, t, l1)
+    inputs = (vk, g)
     before = [x.copy() for x in inputs]
     fixedrank.lu_from_projection(g, vk)
-    fixedrank.column_pivot_assembly(l1, np.arange(30), t)
     assert all(np.array_equal(x, c) and x.flags[order + "_CONTIGUOUS"] for x, c in zip(inputs, before))
 
 
@@ -456,9 +453,62 @@ def test_powerlu_fp_leaves_the_outcomes_g(monkeypatch, operand):
 @pytest.mark.parametrize("v", [2, 3, 4, 5])
 def test_products_are_factored_in_their_own_buffers(v):
     # powerlu's chain renormalizes each product but its last by LU in the
-    # product's own F-ordered buffer, and factors G = A X in its own buffer
-    # too
+    # product's own F-ordered buffer; G = A X is read, into the array
+    # G C^{-1} that is factored
     acc = KeepingAccessor(matgen.gen_decay("slow", 40, 30, seed=v)[0], read_only=False)
     fixedrank.powerlu(acc, 8, 0, v=v, seed=2)
     written = [not np.array_equal(y, c) for y, c in acc.kept]
-    assert written == [True] * v
+    assert written == [True] * (v - 1) + [False]
+
+
+class SwappedAccessor:
+    """A^T through A's accessor: shape reversed, matmul and rmatmul swapped."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def shape(self):
+        return self.inner.shape[::-1]
+
+    def matmul(self, x):
+        return self.inner.rmatmul(x)
+
+    def rmatmul(self, x):
+        return self.inner.matmul(x)
+
+
+@pytest.mark.parametrize("operand", ["dense", "sparse-bands"])
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_powerlu_is_randlu_of_the_transpose(monkeypatch, operand, p):
+    # the paper's relationship: powerlu at v = 2p + 2 projects A onto the
+    # LU basis that randlu at exponent p builds for A^T, so its factors are
+    # bitwise those of randlu on A^T, transposed
+    monkeypatch.setattr(accessors, "BAND_ROWS", 16)
+    a, _ = matgen.gen_decay("slow", 90, 70, seed=5)
+    if operand == "dense":
+        acc = DenseAccessor(a)
+    else:
+        a[np.abs(a) < 0.5 * np.abs(a).mean()] = 0.0
+        acc = SparseAccessor(sp.csc_matrix(a))
+    got = fixedrank.powerlu(acc, 8, v=2 * p + 2, seed=4)
+    ft = fixedrank.randlu(SwappedAccessor(acc), 8, p=p, seed=4)
+    assert np.array_equal(got.p, ft.q) and np.array_equal(got.q, ft.p)
+    assert np.array_equal(got.L, ft.U.T) and np.array_equal(got.U, ft.L.T)
+
+
+@pytest.mark.parametrize("call,lus", [
+    pytest.param(lambda a, v=v: fixedrank.powerlu(a, 8, v=v, seed=1), v, id=f"powerlu-v{v}")
+    for v in (2, 3, 4, 5)
+] + [
+    pytest.param(lambda a, p=p: fixedrank.randlu(a, 8, p=p, seed=1), 2 * p + 2, id=f"randlu-p{p}")
+    for p in (0, 1, 2)
+])
+def test_lu_drivers_run_one_lu_per_pass(monkeypatch, call, lus):
+    # one LU per interior renormalization, one of the basis-side product,
+    # one of the column-pivoted step
+    calls = []
+    plu_inplace = backend.plu_inplace
+    monkeypatch.setattr(backend, "plu_inplace", lambda lu, piv: calls.append(1) or plu_inplace(lu, piv))
+    call(matgen.gen_decay("slow", 60, 50, seed=1)[0])
+    assert len(calls) == lus

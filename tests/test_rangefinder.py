@@ -249,13 +249,17 @@ def test_column_basis_is_row_basis_of_the_transpose(p):
 @pytest.mark.parametrize("p", [0, 1, 2])
 def test_randlu_noreorth_chain_order(p):
     # the raw k-wide chain A (A^T A)^p Omega with no renormalization, then
-    # the same post-sketch assembly as randlu
+    # the same post-sketch assembly as randlu: X = P^T L_y, T = (A^T X)
+    # C^{-1} with C = X^T X, lu(T) = (L2, U2, q), L = L_y U2^T, U = L2^T
     acc = _chain_input(p)
     y = core.rademacher(5, 30, 6)
     for _ in range(p):
         y = acc.rmatmul(acc.matmul(y))
     sk = kernels.plu(acc.matmul(y))
-    want = fixedrank._assemble_from_sketch_lu(acc, sk)
+    x = np.empty(sk.L.shape)
+    x[sk.p] = sk.L
+    t = kernels.plu((kernels._gram_inverse(x) @ acc.rmatmul(x).T).T)
+    want = fixedrank.LowRankLU(p=sk.p, q=t.p, L=sk.L @ t.U.T, U=t.L.T, rank=6)
     got = fixedrank.randlu_noreorth(acc, 6, 6, p, seed=5)
     for name in ("p", "q", "L", "U"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
