@@ -23,7 +23,7 @@ class NotConverged(RlraError):
         self.outcome = outcome
         super().__init__(
             f"residual energy {outcome.residual_energy:.6e} above tolerance "
-            f"at full sketch width {outcome.rank}"
+            f"at full sketch width {outcome.width}"
         )
 
 

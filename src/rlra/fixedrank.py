@@ -140,12 +140,10 @@ def _projected_lu(a, k, q_os, v, seed, transpose=False, reorth=True):
         raise ValueError("pass budget v must be >= 2" if transpose else "p must be >= 0")
     y = rangefinder._power_chain(
         a, k, v - 1, seed, transpose_first=(v % 2 == 0) == transpose, reorth=reorth)
-    lx, _, perm = kernels._plu_in_place(y, upper=False)
-    # X = P^T L_x, C-ordered, the layout a sparse product reads; L_x^+ P B
-    # = C^{-1} X^T B, so B[perm, :] ~ L_x T^T with T = (B^T X) C^{-1},
-    # made F-ordered here so that it is factored in its own buffer
-    x = np.empty(lx.shape)
-    x[perm] = lx
+    x, (lx, _, perm) = rangefinder._lu_basis(y)
+    # L_x^+ P B = C^{-1} X^T B, so B[perm, :] ~ L_x T^T with
+    # T = (B^T X) C^{-1}, made F-ordered here so that it is factored in its
+    # own buffer
     c = a.matmul(x) if transpose else a.rmatmul(x)
     return _assemble(lx, perm, kernels._plu_in_place((kernels._gram_inverse(x) @ c.T).T))
 

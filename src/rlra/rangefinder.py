@@ -10,7 +10,7 @@ general_power_basis_v, pivoted LU for power_basis_lu_l.  powerlu_fp takes
 general_power_basis_v's chain bare (row_chain), with a cut (keep) that
 narrows its products, and factors the last product itself.  The LU
 drivers take the chain bare too, its last product on their basis's side
-(raw for randlu_noreorth), and their basis from its pivoted LU.
+(raw for randlu_noreorth), and their basis and its LU from _lu_basis.
 
 Interior LU renormalizations preserve the span exactly when the sketch has
 full column rank.  The width l is checked against A's shape only
@@ -28,17 +28,17 @@ from .accessors import as_accessor
 
 
 def _lu_basis(y):
-    """Row-unpermuted L of lu(y): spans what y spans, and more when y has
-    dependent columns.
+    """The LU basis X = P^T L of y, with f = lu(y) = (L, None, p): X spans
+    what y spans, and more when y has dependent columns.  Returns (X, f).
 
     y is a product the chain owns and reads no more: it is factored in its
     own buffer when F-ordered and writeable (kernels._plu_in_place, which
     forms no U here), else copied once.  L is scattered into a fresh
-    C-ordered basis, the layout the next sparse product reads."""
+    C-ordered X, the layout the next sparse product reads."""
     f = kernels._plu_in_place(y, upper=False)
-    out = np.empty(f.L.shape)
-    out[f.p] = f.L
-    return out
+    x = np.empty(f.L.shape)
+    x[f.p] = f.L
+    return x, f
 
 
 def check_width(a, l):
@@ -71,7 +71,7 @@ def _power_chain(a, l, products, seed, transpose_first=False, reorth=True, keep=
     y = core.rademacher(seed, m if transpose_first else n, l)
     steps = (a.rmatmul, a.matmul) if transpose_first else (a.matmul, a.rmatmul)
     for i in range(products):
-        x = _lu_basis(y) if i and reorth else y
+        x = _lu_basis(y)[0] if i and reorth else y
         y = steps[i % 2](x)
         if keep is not None and (i or i == products - 1):
             y = y[:, : keep(y, x)]

@@ -197,6 +197,14 @@ def test_powerlu_fp_raises_with_partial_outcome():
     assert not exc.value.outcome.converged
 
 
+def test_not_converged_message_names_the_width():
+    out = fixedprec.AdaptiveOutcome(
+        rank=12, V=np.zeros((30, 12)), G=np.zeros((40, 12)),
+        residual_energy=0.25, converged=False, width=17)
+    assert str(NotConverged(out)) == (
+        "residual energy 2.500000e-01 above tolerance at full sketch width 17")
+
+
 def record_attempts(monkeypatch, acc):
     """Spy on the driver's attempts: (l, seed, products spent) for each."""
     attempts = []

@@ -233,7 +233,7 @@ def test_validation_errors():
     pytest.param(lambda a: fixedprec.powerlu_fp(
         a, fixedprec.PrecisionParams(eps=1e-3, b=5, l=15, v=4), 0), id="powerlu_fp"),
     pytest.param(lambda a: singlepass.single_pass_lu(
-        singlepass.DenseColumnStream(a), 5, 0, panel=8), id="single_pass_lu"),
+        singlepass.DenseColumnStream(a), 5, 0), id="single_pass_lu"),
 ])
 def test_non_finite_input_raises(driver, bad):
     a = core.gaussian(19, 40, 30)

@@ -252,7 +252,7 @@ def test_gram_inverse_matches_pinv_factor_on_an_lu_basis(pinv_calls, kind, l):
     # an LU basis stays on the Gram route, within about u kappa^2 of the
     # R^+ R^+^T that pinv_factor gives the same basis
     a, _ = matgen.gen_decay(kind, 400, 300, seed=3)
-    x = rangefinder._lu_basis(a @ core.rademacher(4, 300, l))
+    x = rangefinder._lu_basis(a @ core.rademacher(4, 300, l))[0]
     cinv = kernels._gram_inverse(x)
     assert not pinv_calls
     rp = kernels.pinv_factor(x)[2]

@@ -19,13 +19,14 @@ def exact_rank_matrix(m, n, r, seed):
     return left @ right
 
 
-def test_identity_stream_sketch_is_the_draw():
+def test_identity_stream_sketch_is_the_draw(tmp_path, monkeypatch):
     # A = I makes both sketches equal Omega, and the panel accumulation
     # touches disjoint rows so the result is bitwise exact
     n, k = 30, 6
-    g, h = singlepass.stream_sketch(
-        singlepass.DenseColumnStream(np.eye(n)), k, seed=3, panel=7
-    )
+    path = str(tmp_path / "eye.rlm")
+    fileio.write_rlra(path, np.eye(n))
+    monkeypatch.setattr(singlepass, "DEFAULT_PANEL", 7)
+    g, h = singlepass.stream_sketch(singlepass.RlraFileColumnStream(path), k, seed=3)
     om = core.gaussian(3, n, k)
     assert np.array_equal(g, om)
     assert np.array_equal(h, om)
@@ -39,41 +40,41 @@ def test_stream_sketch_matches_dense_products():
     assert np.allclose(h, a @ (a.T @ om), atol=1e-12 * core.fro_norm(a) ** 2)
 
 
-def test_stream_sketch_panel_width_invariance():
-    a = core.gaussian(6, 35, 30)
-    g1, h1 = singlepass.stream_sketch(singlepass.DenseColumnStream(a), 7, 1, panel=1)
-    g2, h2 = singlepass.stream_sketch(singlepass.DenseColumnStream(a), 7, 1, panel=256)
+def test_stream_sketch_panel_width_invariance(tmp_path, monkeypatch):
+    # one-column panels from a file against the one in-memory panel
+    a, path = rlm_file(tmp_path, 35, 30, seed=6)
+    monkeypatch.setattr(singlepass, "DEFAULT_PANEL", 1)
+    g1, h1 = singlepass.stream_sketch(singlepass.RlraFileColumnStream(path), 7, 1)
+    g2, h2 = singlepass.stream_sketch(singlepass.DenseColumnStream(a), 7, 1)
     assert np.allclose(g1, g2, atol=1e-12)
     assert np.allclose(h1, h2, atol=1e-12)
 
 
-def test_columns_pulled_counts_one_sweep():
-    a = core.gaussian(7, 20, 33)
-    stream = singlepass.DenseColumnStream(a)
-    singlepass.stream_sketch(stream, 5, seed=0, panel=8)
-    assert stream.columns_pulled == 33
+def test_columns_pulled_counts_one_sweep(tmp_path, monkeypatch):
+    a, path = rlm_file(tmp_path, 20, 33, seed=7)
+    monkeypatch.setattr(singlepass, "DEFAULT_PANEL", 8)
+    for stream in (singlepass.DenseColumnStream(a), singlepass.RlraFileColumnStream(path)):
+        singlepass.stream_sketch(stream, 5, seed=0)
+        assert stream.columns_pulled == 33
 
 
 def test_streams_are_single_use():
     stream = singlepass.DenseColumnStream(np.eye(5))
-    list(stream.panels(2))
+    list(stream.panels())
     with pytest.raises(RuntimeError, match="single-use"):
-        list(stream.panels(2))
+        list(stream.panels())
 
 
-def test_panel_width_validation():
-    stream = singlepass.DenseColumnStream(np.eye(5))
-    with pytest.raises(ValueError):
-        list(stream.panels(0))
+def test_stream_length_mismatch_detected(tmp_path, monkeypatch):
+    class ShortStream(singlepass.RlraFileColumnStream):
+        def panels(self):
+            yield from list(super().panels())[:-1]
 
-
-def test_stream_length_mismatch_detected():
-    class ShortStream(singlepass.DenseColumnStream):
-        def panels(self, width=singlepass.DEFAULT_PANEL):
-            yield from list(super().panels(width))[:-1]
-
-    with pytest.raises(ValueError, match="delivered"):
-        singlepass.stream_sketch(ShortStream(np.eye(10)), 2, seed=0, panel=3)
+    path = str(tmp_path / "eye.rlm")
+    fileio.write_rlra(path, np.eye(10))
+    monkeypatch.setattr(singlepass, "DEFAULT_PANEL", 3)
+    with pytest.raises(ValueError, match="delivered 9 columns, expected 10"):
+        singlepass.stream_sketch(ShortStream(path), 2, seed=0)
 
 
 def test_single_pass_lu_captures_exact_rank():
@@ -136,11 +137,12 @@ def test_single_pass_lu_rejects_bad_rank_before_reading(k, q_os, why):
 
 
 def test_file_stream_matches_dense(tmp_path):
+    # 37 columns are one panel from the file too
     a = core.gaussian(11, 50, 37)
     path = str(tmp_path / "a.rlm")
     fileio.write_rlra(path, a)
-    gd, hd = singlepass.stream_sketch(singlepass.DenseColumnStream(a), 6, 2, panel=16)
-    gf, hf = singlepass.stream_sketch(singlepass.RlraFileColumnStream(path), 6, 2, panel=16)
+    gd, hd = singlepass.stream_sketch(singlepass.DenseColumnStream(a), 6, 2)
+    gf, hf = singlepass.stream_sketch(singlepass.RlraFileColumnStream(path), 6, 2)
     assert np.array_equal(gd, gf)
     assert np.array_equal(hd, hf)
 
@@ -166,22 +168,24 @@ def test_file_stream_truncated_after_open(tmp_path):
     stream = singlepass.RlraFileColumnStream(str(path))
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(IOError, match="a.rlm"):
-        list(stream.panels(16))
+        list(stream.panels())
 
 
 @pytest.mark.parametrize("m,n,k", [(12, 8, 3), (300, 200, 30), (600, 400, 30)])
-def test_dense_stream_sketches_agree(tmp_path, m, n, k):
+def test_dense_stream_sketches_agree(tmp_path, monkeypatch, m, n, k):
     # every dense stream hands out F-ordered m x w panels, so the transposed
-    # panel products give bitwise-equal sketches whatever the source
+    # panel products give bitwise-equal sketches whatever the source; a file
+    # read in panels of n columns is one panel, as a matrix in memory is
     a = core.gaussian(20, m, n)
     path = str(tmp_path / "a.rlm")
     fileio.write_rlra(path, a)
+    monkeypatch.setattr(singlepass, "DEFAULT_PANEL", n)
     streams = [
         singlepass.DenseColumnStream(a),
         singlepass.RlraFileColumnStream(path),
         singlepass.DenseColumnStream(np.ascontiguousarray(a.T).T),
     ]
-    (g, h), *others = [singlepass.stream_sketch(s, k, seed=3, panel=64) for s in streams]
+    (g, h), *others = [singlepass.stream_sketch(s, k, seed=3) for s in streams]
     for go, ho in others:
         assert np.array_equal(go, g)
         assert np.array_equal(ho, h)
@@ -258,11 +262,12 @@ def track_reads(monkeypatch, before=None):
     return reads
 
 
-def test_file_stream_panels_keep_their_values(tmp_path):
+def test_file_stream_panels_keep_their_values(tmp_path, monkeypatch):
     # every panel is a fresh array: one handed out is never the buffer a
     # later read fills
     a, path = rlm_file(tmp_path, 40, 70, seed=22)
-    panels = list(singlepass.RlraFileColumnStream(path).panels(16))
+    monkeypatch.setattr(singlepass, "DEFAULT_PANEL", 16)
+    panels = list(singlepass.RlraFileColumnStream(path).panels())
     assert [j0 for j0, _ in panels] == [0, 16, 32, 48, 64]
     for j0, block in panels:
         assert block.flags.f_contiguous
@@ -271,6 +276,7 @@ def test_file_stream_panels_keep_their_values(tmp_path):
 
 def test_file_stream_read_error_reaches_caller_at_its_panel(tmp_path, monkeypatch):
     a, path = rlm_file(tmp_path, 40, 70, seed=23)
+    monkeypatch.setattr(singlepass, "DEFAULT_PANEL", 16)
     stream = singlepass.RlraFileColumnStream(path)
     handles = []
 
@@ -284,7 +290,7 @@ def test_file_stream_read_error_reaches_caller_at_its_panel(tmp_path, monkeypatc
     reads = track_reads(monkeypatch)
     got = []
     with pytest.raises(IOError, match="a.rlm"):
-        for j0, block in stream.panels(16):
+        for j0, block in stream.panels():
             got.append(j0)
             assert np.array_equal(block, a[:, j0 : j0 + 16])
     assert got == [0, 16]
@@ -295,9 +301,10 @@ def test_file_stream_read_error_reaches_caller_at_its_panel(tmp_path, monkeypatc
 
 def test_closing_file_stream_waits_for_its_read(tmp_path, monkeypatch):
     _, path = rlm_file(tmp_path, 40, 70, seed=24)
+    monkeypatch.setattr(singlepass, "DEFAULT_PANEL", 16)
     stream = singlepass.RlraFileColumnStream(path)
     reads = track_reads(monkeypatch, before=lambda j0: j0 and time.sleep(0.2))
-    panels = stream.panels(16)
+    panels = stream.panels()
     assert next(panels)[0] == 0
     panels.close()  # panel 16 is still being read
     assert [j0 for j0, _, _ in reads] == [0, 16]
@@ -332,10 +339,8 @@ def test_matrix_market_stream(tmp_path):
     fileio.write_mm(path, acc.sparse)
     stream = singlepass.MatrixMarketColumnStream(path)
     assert stream.shape == (60, 45)
-    g, h = singlepass.stream_sketch(stream, 5, seed=0, panel=10)
-    gd, hd = singlepass.stream_sketch(
-        singlepass.DenseColumnStream(acc.to_dense()), 5, seed=0, panel=10
-    )
+    g, h = singlepass.stream_sketch(stream, 5, seed=0)
+    gd, hd = singlepass.stream_sketch(singlepass.DenseColumnStream(acc.to_dense()), 5, seed=0)
     assert np.allclose(g, gd, atol=1e-12)
     assert np.allclose(h, hd, atol=1e-12)
 
@@ -348,10 +353,8 @@ def test_matrix_market_stream_is_real_float64(tmp_path):
     fileio.write_mm(path, ints)
     stream = singlepass.MatrixMarketColumnStream(path)
     assert stream.to_dense().dtype == np.float64
-    g, h = singlepass.stream_sketch(stream, 4, seed=0, panel=8)
-    gd, hd = singlepass.stream_sketch(
-        singlepass.DenseColumnStream(ints.toarray()), 4, seed=0, panel=8
-    )
+    g, h = singlepass.stream_sketch(stream, 4, seed=0)
+    gd, hd = singlepass.stream_sketch(singlepass.DenseColumnStream(ints.toarray()), 4, seed=0)
     assert np.allclose(g, gd, atol=1e-12) and np.allclose(h, hd, atol=1e-12)
 
     complex_path = str(tmp_path / "c.mtx")
@@ -398,11 +401,9 @@ def write_sparse_mtx(tmp_path, m, n, density, seed):
 
 def test_matrix_market_panels_are_sparse(tmp_path):
     path, a = write_sparse_mtx(tmp_path, 60, 45, 0.1, seed=15)
-    panels = list(singlepass.MatrixMarketColumnStream(path).panels(16))
-    assert [j0 for j0, _ in panels] == [0, 16, 32]
-    for j0, block in panels:
-        assert sp.issparse(block)
-        assert np.array_equal(block.toarray(), a[:, j0 : j0 + block.shape[1]])
+    [(j0, block)] = singlepass.MatrixMarketColumnStream(path).panels()
+    assert j0 == 0 and sp.issparse(block)
+    assert np.array_equal(block.toarray(), a)
 
 
 def test_matrix_market_single_pass_never_densifies(tmp_path, monkeypatch):
@@ -415,9 +416,9 @@ def test_matrix_market_single_pass_never_densifies(tmp_path, monkeypatch):
     for cls in (sp.csc_matrix, sp.csr_matrix):
         monkeypatch.setattr(cls, "toarray", refuse)
         monkeypatch.setattr(cls, "todense", refuse)
-    f = singlepass.single_pass_lu(stream, 20, seed=4, panel=64)
+    f = singlepass.single_pass_lu(stream, 20, seed=4)
     monkeypatch.undo()
-    fd = singlepass.single_pass_lu(singlepass.DenseColumnStream(a), 20, seed=4, panel=64)
+    fd = singlepass.single_pass_lu(singlepass.DenseColumnStream(a), 20, seed=4)
     approx = fixedrank.reconstruct(f)
     assert core.fro_norm(approx - fixedrank.reconstruct(fd)) <= 1e-12 * core.fro_norm(approx)
 
@@ -485,16 +486,32 @@ def test_in_memory_streams_sweep_in_one_panel(tmp_path):
             assert np.array_equal(g, a.T @ om) and np.array_equal(h, a @ g)
 
 
-@pytest.mark.parametrize("panel", [1, 7, 16, 45, 64])
-def test_explicit_panel_width_is_honoured(tmp_path, panel):
-    makers = three_streams(tmp_path, 70, 45, seed=19)
-    widths = [min(panel, 45 - j0) for j0 in range(0, 45, panel)]
-    for name, make in makers.items():
-        stream = make()
-        wrapped = ForwardingStream(stream)
-        singlepass.stream_sketch(wrapped, 5, seed=2, panel=panel)
-        assert [w for _, w, _ in wrapped.seen] == widths, name
-        assert stream.columns_pulled == 45
+@pytest.mark.parametrize("width", [1, 7, 16, 45, 64])
+def test_file_stream_sums_its_panels(tmp_path, monkeypatch, width):
+    # 45 columns: the last panel is ragged at 7 (3 columns) and 16 (13),
+    # and at 45 and 64 the one panel is the whole file, nothing summed
+    a, path = rlm_file(tmp_path, 70, 45, seed=19)
+    monkeypatch.setattr(singlepass, "DEFAULT_PANEL", width)
+    stream = singlepass.RlraFileColumnStream(path)
+    wrapped = ForwardingStream(stream)
+    g, h = singlepass.stream_sketch(wrapped, 5, seed=2)
+    assert [w for _, w, _ in wrapped.seen] == [min(width, 45 - j0) for j0 in range(0, 45, width)]
+    assert stream.columns_pulled == 45
+    want = head_stream_sketch(a, 5, 2, width)
+    assert np.array_equal(g, want[0]) and np.array_equal(h, want[1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_file_stream_non_finite_panel_names_its_columns(tmp_path, monkeypatch, bad):
+    a = core.gaussian(25, 40, 45)
+    a[17, 20] = bad
+    path = str(tmp_path / "bad.rlm")
+    fileio.write_rlra(path, a)
+    monkeypatch.setattr(singlepass, "DEFAULT_PANEL", 16)
+    stream = singlepass.RlraFileColumnStream(path)
+    with pytest.raises(NonFiniteInput, match="stream columns 16..31 has NaN or infinite"):
+        singlepass.single_pass_lu(stream, 5, seed=0)
+    assert stream.columns_pulled == 32  # the sweep stops at the bad panel
 
 
 def test_file_stream_default_width_is_default_panel(tmp_path):
